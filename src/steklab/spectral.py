@@ -3,9 +3,14 @@
 The weak problem is driven by two sparse symmetric forms on mesh vertices:
 the stiffness K (Dirichlet energy, with per-simplex gradients taken in each
 simplex's own tangent plane inside R^m) and the boundary mass B supported on
-Steklov-tagged faces.  Eigenvalues come from the Schur complement of K onto
-the Steklov vertices, a discrete Dirichlet-to-Neumann operator, paired with
-the boundary mass in a dense symmetric generalized eigensolve.
+Steklov-tagged faces.  The eigenvalues are those of (S, B_GG), with S the
+Schur complement of K onto the Steklov vertices G (a discrete
+Dirichlet-to-Neumann operator), but S is never formed: B vanishes off G, so
+the G-block of (K - sigma_s B)^{-1} is (S - sigma_s B_GG)^{-1}, and one sparse
+LU of K - sigma_s B at the negative shift sigma_s = -|Sigma|/|M| serves the
+whole solve.  A few eigenpairs come from shift-invert Lanczos (Ericsson & Ruhe,
+Math. Comp. 1980; ARPACK mode 3), a quarter of the boundary spectrum or more
+from a dense eigensolve of that inverted block.
 """
 
 from __future__ import annotations
@@ -17,15 +22,14 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import norm as spnorm
 
 from .errors import MeshError, NumericalError, UsageError
 from .mesh import NEUMANN, STEKLOV, EmbeddedMesh
 
 KIND_STEKLOV = "steklov"
 KIND_STEKLOV_NEUMANN = "steklov-neumann"
-
-_SCHUR_CHUNK_DOUBLES = 24_000_000  # cap on the dense block used per Schur sweep
 
 
 @dataclass
@@ -138,59 +142,56 @@ def assemble(problem: SpectralProblem) -> tuple[csr_matrix, csr_matrix]:
     return assemble_operators(problem.mesh)
 
 
-def _schur_complement(stiffness, gamma, interior):
-    """Dense S = K_GG - K_GI K_II^{-1} K_IG, solving in column chunks."""
-    k_csc = stiffness.tocsc()
-    k_gg = k_csc[np.ix_(gamma, gamma)].toarray()
-    if interior.size == 0:
-        return k_gg
-    k_ig = k_csc[np.ix_(interior, gamma)]
-    k_ii = k_csc[np.ix_(interior, interior)]
-    try:
-        lu = splu(k_ii.tocsc())
-    except RuntimeError as exc:
-        raise NumericalError(f"interior stiffness factorization failed: {exc}") from exc
-    ng = len(gamma)
-    chunk = max(1, min(ng, _SCHUR_CHUNK_DOUBLES // max(1, len(interior))))
-    schur = k_gg
-    for start in range(0, ng, chunk):
-        block = k_ig[:, start : start + chunk].toarray()
-        x = lu.solve(block)
-        schur[:, start : start + chunk] -= k_ig.T @ x
-    return 0.5 * (schur + schur.T)
-
-
 def solve_steklov(problem: SpectralProblem) -> SpectralResult:
-    """k_max+1 smallest Steklov eigenvalues via the boundary Schur reduction.
+    """k_max+1 smallest Steklov eigenvalues from one LU of A = K - sigma_s B.
 
-    sigma_0 = 0 (constants) is always part of the reported spectrum and is
-    not deflated.  Residuals are the backward errors
-    |S x - sigma B x| / ((|S|_1 + sigma |B|_1) |x|), which stay meaningful
-    at sigma_0 where |S x| itself vanishes.
+    A is SPD on a connected mesh because B does not vanish on constants.
+    Requests with k_max+1 < n_G // 4 run shift-invert Lanczos from a fixed
+    start vector; larger ones invert the G-block of A^{-1} densely.  Each
+    eigenvector is the trace of u = A^{-1} E_G (sigma - sigma_s) B_GG x, the
+    discrete harmonic extension of its trace, so S x = [K u]_G exactly.
+    sigma_0 = 0 (constants) is reported, not deflated.  Residuals are the
+    backward errors |(K - sigma B) u| / ((|K|_1 + sigma |B|_1) |u|) of the
+    sparse pencil, meaningful at sigma_0 too, where |K u| vanishes.
     """
     mesh = problem.mesh
     stiffness, mass = assemble(problem)
     if not mesh.is_connected():
-        raise NumericalError("mesh is disconnected; the interior block is singular")
+        raise NumericalError("mesh is disconnected; the shifted stiffness is singular")
     gamma = mesh.steklov_vertices()
-    if len(gamma) <= problem.k_max:
+    n_gamma = len(gamma)
+    if n_gamma <= problem.k_max:
         raise UsageError(
-            f"k_max = {problem.k_max} requires more than {len(gamma)} Steklov vertices"
+            f"k_max = {problem.k_max} requires more than {n_gamma} Steklov vertices"
         )
-    interior = np.setdiff1d(np.arange(mesh.n_vertices), gamma)
-    schur = _schur_complement(stiffness, gamma, interior)
-    bmat = mass.tocsc()[np.ix_(gamma, gamma)].toarray()
+    shift = -float(mass.sum()) / mesh.volume()
+    try:
+        lu = splu((stiffness - shift * mass).tocsc())
+    except RuntimeError as exc:
+        raise NumericalError(f"shifted stiffness factorization failed: {exc}") from exc
 
+    def solve_from_gamma(rhs):
+        """A^{-1} E_G rhs for a vector or a block of columns."""
+        full = np.zeros((mesh.n_vertices,) + rhs.shape[1:])
+        full[gamma] = rhs
+        return lu.solve(full)
+
+    bmat = mass[gamma][:, gamma]
     want = problem.k_max + 1
     try:
-        if want < len(gamma) // 4:
-            vals, vecs = scipy.linalg.eigh(
-                schur, bmat, subset_by_index=[0, problem.k_max], driver="gvx"
+        if want < n_gamma // 4:
+            op = LinearOperator(
+                (n_gamma, n_gamma), matvec=lambda y: solve_from_gamma(y)[gamma], dtype=float
             )
+            # a fixed start keeps results reproducible; not the constants, which
+            # span an eigenspace.  Mode 3 uses A (here bmat) only for its shape.
+            v0 = np.random.default_rng(0).standard_normal(n_gamma)
+            vals, vecs = eigsh(bmat, k=want, M=bmat, sigma=shift, OPinv=op, tol=0, v0=v0)
         else:
-            vals, vecs = scipy.linalg.eigh(schur, bmat)
-            vals, vecs = vals[:want], vecs[:, :want]
-    except scipy.linalg.LinAlgError as exc:
+            shifted = np.linalg.inv(solve_from_gamma(np.eye(n_gamma))[gamma])
+            vals, vecs = scipy.linalg.eigh(shifted, bmat.toarray())
+            vals, vecs = vals[:want] + shift, vecs[:, :want]
+    except (ArpackError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError(f"boundary eigensolve failed: {exc}") from exc
 
     scale = float(np.abs(vals).max()) if len(vals) else 1.0
@@ -198,15 +199,11 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
         raise NumericalError(f"leading eigenvalue {vals[0]} is significantly negative")
     vals = np.maximum(vals, 0.0)
 
-    s_norm = np.abs(schur).sum(axis=0).max()
-    b_norm = np.abs(bmat).sum(axis=0).max()
-    residuals = np.empty(want)
-    for j in range(want):
-        x = vecs[:, j]
-        mis = schur @ x - vals[j] * (bmat @ x)
-        residuals[j] = np.linalg.norm(mis) / (
-            (s_norm + vals[j] * b_norm) * np.linalg.norm(x)
-        )
+    extensions = solve_from_gamma((bmat @ vecs) * (vals - shift))
+    misfit = stiffness @ extensions - (mass @ extensions) * vals
+    residuals = np.linalg.norm(misfit, axis=0) / (
+        (spnorm(stiffness, 1) + vals * spnorm(mass, 1)) * np.linalg.norm(extensions, axis=0)
+    )
     if residuals.max() > problem.tolerance:
         raise NumericalError(
             f"eigenpair residual {residuals.max():.3e} exceeds tolerance {problem.tolerance}"
@@ -214,10 +211,10 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
     return SpectralResult(
         eigenvalues=vals,
         residuals=residuals,
-        dof_interior=int(len(interior)),
-        dof_boundary=int(len(gamma)),
+        dof_interior=int(mesh.n_vertices - n_gamma),
+        dof_boundary=int(n_gamma),
         boundary_vertices=gamma,
-        eigenvectors_boundary=vecs,
+        eigenvectors_boundary=extensions[gamma],
         metadata={"kind": problem.kind, "n_vertices": mesh.n_vertices},
     )
 

@@ -2,8 +2,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from steklab import spectral
 from steklab.cli import main
 
 
@@ -78,6 +81,29 @@ def test_spectrum_kmax_usage_error(annulus_file, tmp_path):
          "--kmax", "100000", "--out", str(tmp_path / "x.json")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "name, exc",
+    [
+        ("eigsh", ArpackNoConvergence("ARPACK did not converge", np.zeros(0), np.zeros((0, 0)))),
+        ("splu", RuntimeError("Factor is exactly singular")),
+    ],
+)
+def test_spectrum_solver_failure_exits_3(annulus_file, tmp_path, monkeypatch, capsys, name, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(spectral, name, fail)
+    mesh_path, _ = annulus_file
+    code = run(
+        ["spectrum", "--mesh", str(mesh_path), "--kind", "steklov-neumann",
+         "--kmax", "1", "--out", str(tmp_path / "x.json")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "Traceback" not in err
 
 
 def test_oracle_values(tmp_path, capsys):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_rotation
+from steklab import spectral
 from steklab.closed_forms import cylinder_steklov_spectrum, disk_steklov_spectrum
-from steklab.errors import UsageError
+from steklab.errors import NumericalError, UsageError
 from steklab.families import FamilyDescriptor, generate_mesh
 from steklab.mesh import NEUMANN, STEKLOV, EmbeddedMesh
 from steklab.spectral import (
@@ -86,6 +88,58 @@ def test_sigma0_is_zero(disk_spectrum, cylinder_spectrum):
     assert 0.0 <= disk_spectrum.eigenvalues[0] <= 1e-8
     assert 0.0 <= cylinder_spectrum.eigenvalues[0] <= 1e-8
     assert np.all(np.diff(disk_spectrum.eigenvalues) >= -1e-12)
+
+
+def dense_schur_spectrum(mesh, k_max):
+    """Reference: dense S = K_GG - K_GI K_II^{-1} K_IG with the dense generalized eigh."""
+    stiffness, mass = (op.toarray() for op in assemble_operators(mesh))
+    gamma = mesh.steklov_vertices()
+    interior = np.setdiff1d(np.arange(mesh.n_vertices), gamma)
+    k_ig = stiffness[np.ix_(interior, gamma)]
+    schur = stiffness[np.ix_(gamma, gamma)] - k_ig.T @ np.linalg.solve(
+        stiffness[np.ix_(interior, interior)], k_ig
+    )
+    vals = scipy.linalg.eigh(schur, mass[np.ix_(gamma, gamma)], eigvals_only=True)
+    return vals[: k_max + 1]
+
+
+@pytest.fixture(scope="module")
+def coarse_cases(disk_mesh_coarse):
+    annulus = generate_mesh(FamilyDescriptor("annulus-flat", h=0.15, n=2, eps=1.0, delta=2.0))
+    return {"disk": (disk_mesh_coarse, "steklov"), "annulus": (annulus, "steklov-neumann")}
+
+
+@pytest.mark.parametrize("case", ["disk", "annulus"])
+@pytest.mark.parametrize("branch", ["lanczos", "dense"])
+def test_matches_dense_schur_reference(coarse_cases, case, branch):
+    mesh, kind = coarse_cases[case]
+    n_gamma = len(mesh.steklov_vertices())
+    # k_max + 1 < n_gamma // 4 runs shift-invert Lanczos, anything larger the dense path
+    k_max = 3 if branch == "lanczos" else n_gamma - 1
+    assert (k_max + 1 < n_gamma // 4) == (branch == "lanczos")
+    got = solve_steklov(SpectralProblem(mesh, kind, k_max=k_max))
+    ref = dense_schur_spectrum(mesh, k_max)
+    assert np.allclose(got.eigenvalues, ref, rtol=1e-9, atol=1e-12)
+    assert got.residuals.max() < 1e-12
+
+
+def test_repeat_solves_are_bit_identical(disk_mesh_coarse):
+    first = solve_steklov(SpectralProblem(disk_mesh_coarse, "steklov", k_max=3))
+    second = solve_steklov(SpectralProblem(disk_mesh_coarse, "steklov", k_max=3))
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert np.array_equal(first.residuals, second.residuals)
+
+
+def test_residual_gate_rejects_perturbed_eigenvalues(disk_mesh_coarse, monkeypatch):
+    true_eigsh = spectral.eigsh
+
+    def shifted_eigsh(*args, **kwargs):
+        vals, vecs = true_eigsh(*args, **kwargs)
+        return vals + 1e-4, vecs
+
+    monkeypatch.setattr(spectral, "eigsh", shifted_eigsh)
+    with pytest.raises(NumericalError, match="residual"):
+        solve_steklov(SpectralProblem(disk_mesh_coarse, "steklov", k_max=3))
 
 
 def test_kind_validation(annulus_mesh):
