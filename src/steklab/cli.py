@@ -167,6 +167,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_index(args) -> int:
     mesh = EmbeddedMesh.load(args.mesh)
+    mesh.validate()
     degree_bound = None
     if args.degrees:
         degree_bound = intersection.degree_upper_bound([_int_list(d) for d in args.degrees])

@@ -214,13 +214,15 @@ class EmbeddedMesh:
     def validate(self) -> None:
         """Check structural invariants; raise MeshError on the first failure.
 
-        Verified: index ranges, every boundary face belongs to exactly one
-        cell, interior facets to exactly two, and every cell has positive
-        volume.
+        Verified: finite coordinates, index ranges, every boundary face
+        belongs to exactly one cell, interior facets to exactly two, and
+        every cell has positive volume.
         """
         n = self.intrinsic_dim
         if not (1 <= n <= self.ambient_dim):
             raise MeshError(f"intrinsic dim {n} not in [1, {self.ambient_dim}]")
+        if not np.isfinite(self.vertices).all():
+            raise MeshError("non-finite vertex coordinates")
         if self.cells.size and (self.cells.min() < 0 or self.cells.max() >= self.n_vertices):
             raise MeshError("cell index out of range")
         if self.boundary_faces.size and (

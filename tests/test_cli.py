@@ -136,6 +136,23 @@ def test_index_subcommand(tmp_path, capsys):
     assert doc["seed"] == 7
 
 
+def test_index_rejects_non_finite_vertex(tmp_path, capsys):
+    mesh_path = tmp_path / "circle.json"
+    assert run(["mesh", "--family", "circle", "--n", "2", "--eps", "1", "--h", "0.1",
+                "--mesh-out", str(mesh_path), "--out", str(tmp_path / "m.json")]) == 0
+    doc = read_json(mesh_path)
+    doc["vertices"][3][1] = float("nan")
+    mesh_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "index.json"
+    code = run(["index", "--mesh", str(mesh_path), "--samples", "100", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "non-finite" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
+
+
 def test_index_union_degrees(tmp_path, capsys):
     mesh_path = tmp_path / "circle.json"
     run(["mesh", "--family", "circle", "--n", "2", "--eps", "1", "--h", "0.1",

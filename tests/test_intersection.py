@@ -1,10 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from steklab import intersection
 from steklab.errors import NonTransverseSample, PreconditionError, UsageError
 from steklab.families import FamilyDescriptor, generate_mesh
+from steklab.euclidean import unit_sphere_area
 from steklab.intersection import (
+    BARYCENTRIC_TOL,
+    CONDITION_MAX,
     AffinePlane,
+    _random_plane,
     concentration_audit,
     degree_upper_bound,
     estimate_index,
@@ -155,3 +162,174 @@ def test_estimate_requires_samples(circle_mesh):
 def test_degree_bound_violation_detected(circle_mesh):
     with pytest.raises(PreconditionError, match="degree bound"):
         estimate_index(circle_mesh, samples=300, seed=0, degree_bound=1)
+
+
+# -- reference agreement -------------------------------------------------------
+#
+# Test-local copies of the earlier kernels: the plane screen that reduced a
+# strided (C, n+1, c) gather along its vertex axis, and the audit that held a
+# precomputed (C, P, m) cloud.  The current kernels must reproduce them.
+
+
+def _strided_count(plane, mesh, bary_tol=BARYCENTRIC_TOL, cond_max=CONDITION_MAX):
+    signed = mesh.vertices @ plane.normal_rows.T - plane.offset
+    per_cell = signed[mesh.cells]
+    slack = bary_tol * (np.abs(signed).max() + 1.0)
+    lo = per_cell.min(axis=1)
+    hi = per_cell.max(axis=1)
+    candidates = np.nonzero(np.all((lo <= slack) & (hi >= -slack), axis=1))[0]
+    if candidates.size == 0:
+        return 0
+    k = mesh.intrinsic_dim + 1
+    systems = np.empty((len(candidates), k, k))
+    systems[:, :-1, :] = per_cell[candidates].transpose(0, 2, 1)
+    systems[:, -1, :] = 1.0
+    conds = np.linalg.cond(systems)
+    if not np.all(np.isfinite(conds)) or conds.max() > cond_max:
+        raise NonTransverseSample("ill-conditioned plane-cell system")
+    rhs = np.zeros((len(candidates), k, 1))
+    rhs[:, -1, 0] = 1.0
+    lam = np.linalg.solve(systems, rhs)[:, :, 0]
+    lam_min = lam.min(axis=1)
+    if np.any(np.abs(lam_min) <= bary_tol):
+        raise NonTransverseSample("intersection point grazes a cell facet")
+    return int(np.count_nonzero(lam_min > bary_tol))
+
+
+def _cloud_audit(mesh, index_bound, trials, seed=0, points_per_cell=1000):
+    rng = np.random.default_rng(seed)
+    q = mesh.intrinsic_dim
+    cap_coeff = 0.5 * index_bound * unit_sphere_area(q)
+    cell_pts = mesh.vertices[mesh.cells]
+    vols = mesh.cell_volumes()
+    centroids = cell_pts.mean(axis=1)
+    spread = np.linalg.norm(cell_pts - centroids[:, None, :], axis=2).max(axis=1)
+    vert_sq = (cell_pts**2).sum(axis=2)
+    diam = mesh.diameter()
+    r_lo = max(np.median(spread) * 2.0, diam * 1e-3)
+    r_hi = diam * 0.35
+    bary_cloud = rng.dirichlet(np.ones(q + 1), size=points_per_cell)
+    cloud = np.matmul(bary_cloud[None, :, :], cell_pts)
+    cloud_sq = (cloud**2).sum(axis=2)
+    worst = (-np.inf, None, None)
+    for trial in range(trials):
+        cell = rng.integers(0, len(mesh.cells))
+        bary = rng.dirichlet(np.ones(q + 1))
+        center = bary @ cell_pts[cell]
+        if trial % 2:
+            center = center + 0.1 * diam * rng.standard_normal(mesh.ambient_dim)
+        radius = float(np.exp(rng.uniform(np.log(r_lo), np.log(r_hi))))
+        c_sq = float(center @ center)
+        dist_sq = vert_sq - 2.0 * (cell_pts @ center) + c_sq
+        dmax = np.sqrt(np.maximum(dist_sq.max(axis=1), 0.0))
+        dmin = np.sqrt(np.maximum(dist_sq.min(axis=1), 0.0))
+        inside = dmax <= radius
+        volume = float(vols[inside].sum())
+        straddle = np.nonzero(~inside & (dmin <= radius + 2.0 * spread))[0]
+        if straddle.size:
+            d_sq = cloud_sq[straddle] - 2.0 * (cloud[straddle] @ center) + c_sq
+            frac = (d_sq <= radius * radius).mean(axis=1)
+            volume += float((vols[straddle] * frac).sum())
+        ratio = volume / (cap_coeff * radius**q)
+        if ratio > worst[0]:
+            worst = (ratio, center, radius)
+    return worst
+
+
+def _outcome(count_fn, plane, mesh):
+    try:
+        return count_fn(plane, mesh)
+    except NonTransverseSample as exc:
+        return f"non-transverse: {exc}"
+
+
+@pytest.fixture(scope="module")
+def coarse_torus():
+    return generate_mesh(
+        FamilyDescriptor("torus-surface", h=0.3, major_radius=2.0, minor_radius=1.0)
+    )
+
+
+@pytest.mark.parametrize("mesh_name", ["circle_mesh", "torus_mesh"])
+def test_slot_screen_matches_strided_reference(mesh_name, request):
+    mesh = request.getfixturevalue(mesh_name)
+    rng = np.random.default_rng(2024)
+    lo, hi = mesh.bounding_box()
+    planes = [_random_plane(rng, mesh.intrinsic_dim, lo, hi) for _ in range(500)]
+    if mesh.ambient_dim == 2:
+        planes += [horizontal_line(0.0), horizontal_line(0.137), horizontal_line(5.0)]
+    outcomes = [_outcome(plane_mesh_intersections, p, mesh) for p in planes]
+    assert outcomes == [_outcome(_strided_count, p, mesh) for p in planes]
+    assert {0, 2} <= set(outcomes)
+    if mesh.ambient_dim == 2:
+        assert outcomes[-3:] == ["non-transverse: intersection point grazes a cell facet", 2, 0]
+
+
+@pytest.mark.parametrize(
+    "mesh_name, seed, degree_bound",
+    [("circle_mesh", 7, 2), ("torus_mesh", 15, None)],
+)
+def test_estimate_payload_matches_strided_reference(
+    mesh_name, seed, degree_bound, request, monkeypatch
+):
+    mesh = request.getfixturevalue(mesh_name)
+    current = estimate_index(mesh, samples=1000, seed=seed, degree_bound=degree_bound)
+    monkeypatch.setattr(intersection, "plane_mesh_intersections", _strided_count)
+    reference = estimate_index(mesh, samples=1000, seed=seed, degree_bound=degree_bound)
+    assert current.to_payload() == reference.to_payload()
+
+
+@pytest.mark.parametrize(
+    "mesh_name, bound", [("circle_mesh", 2), ("coarse_torus", 4)]
+)
+def test_audit_matches_cloud_reference(mesh_name, bound, request):
+    mesh = request.getfixturevalue(mesh_name)
+    report = concentration_audit(mesh, bound, trials=300, seed=3)
+    ratio, center, radius = _cloud_audit(mesh, bound, trials=300, seed=3)
+    assert report.worst_ratio == ratio
+    assert np.array_equal(report.worst_center, center)
+    assert report.worst_radius == radius
+
+
+def test_audit_memory_does_not_grow_with_cloud(coarse_torus):
+    # a per-cell cloud (2,646 cells x 1,000 points x 3 coordinates) takes
+    # 63.5 MB alone, and an audit holding one peaked at 148.6 MB here; the
+    # blocked Gram quadrature peaks at 4.9 MB
+    tracemalloc.start()
+    try:
+        concentration_audit(coarse_torus, 4, trials=200, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+# -- the PL torus exceeds the smooth torus index -------------------------------
+
+
+def _moller_trumbore_hits(plane, mesh):
+    """Transverse hits of a line with a triangle mesh in R^3."""
+    rows = plane.normal_rows
+    origin = rows.T @ plane.offset
+    direction = np.cross(rows[0], rows[1])
+    tri = mesh.vertices[mesh.cells]
+    e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    p = np.cross(direction, e2)
+    det = np.einsum("ij,ij->i", e1, p)
+    ok = np.abs(det) > 1e-14
+    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+    s = origin - tri[:, 0]
+    u = np.einsum("ij,ij->i", s, p) * inv
+    v = np.einsum("j,ij->i", direction, np.cross(s, e1)) * inv
+    return int(np.count_nonzero(ok & (u > 0) & (v > 0) & (u + v < 1)))
+
+
+def test_pl_torus_has_six_hit_planes(torus_mesh):
+    # three close transverse hits in the inner saddle, where the smooth torus
+    # has one: degree bound 4 would reject this estimate
+    est = estimate_index(torus_mesh, samples=1000, seed=15)
+    assert est.sampled_max == 6
+    assert est.count_histogram == {0: 403, 2: 526, 4: 70, 6: 1}
+    assert _moller_trumbore_hits(est.witness_plane, torus_mesh) == 6
+    with pytest.raises(PreconditionError, match="degree bound"):
+        estimate_index(torus_mesh, samples=1000, seed=15, degree_bound=4)

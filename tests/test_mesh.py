@@ -115,6 +115,14 @@ def test_validate_rejects_degenerate_cell():
         mesh.validate()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validate_rejects_non_finite_vertex(value):
+    mesh = single_triangle_mesh()
+    mesh.vertices[2, 0] = value
+    with pytest.raises(MeshError, match="non-finite vertex"):
+        mesh.validate()
+
+
 def test_document_roundtrip(tmp_path, annulus_mesh):
     path = tmp_path / "mesh.json"
     annulus_mesh.save(path)
