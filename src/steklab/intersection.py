@@ -127,7 +127,7 @@ def plane_mesh_intersections(
     if not np.all(np.isfinite(conds)) or conds.max() > cond_max:
         raise NonTransverseSample("ill-conditioned plane-cell system")
     try:
-        lam = np.linalg.solve(systems, np.eye(k)[:, -1:])[:, :, 0]
+        lam = np.linalg.solve(systems, np.eye(k)[None, :, -1:])[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise NonTransverseSample("singular plane-cell system") from exc
     lam_min = lam.min(axis=1)
@@ -308,9 +308,8 @@ def concentration_audit(
     cap_coeff = 0.5 * index_bound * unit_sphere_area(q)
 
     vols = mesh.cell_volumes()
-    cell_pts = mesh.vertices[mesh.cells]  # (C, n+1, m)
-    slot_pts = cell_pts.transpose(1, 0, 2).copy()  # (n+1, C, m)
-    spread = np.linalg.norm(cell_pts - cell_pts.mean(axis=1, keepdims=True), axis=2).max(axis=1)
+    slot_pts = mesh.vertices[mesh.cells.T]  # (n+1, C, m): one row of vertices per slot
+    spread = np.linalg.norm(slot_pts - slot_pts.mean(axis=0), axis=2).max(axis=0)
     vert_sq = (slot_pts**2).sum(axis=2)  # (n+1, C)
     diam = mesh.diameter()
     r_lo = max(np.median(spread) * 2.0, diam * 1e-3)
@@ -326,9 +325,9 @@ def concentration_audit(
 
     worst = (-np.inf, None, None)
     for trial in range(trials):
-        cell = rng.integers(0, len(cell_pts))
+        cell = rng.integers(0, slot_pts.shape[1])
         bary = rng.dirichlet(np.ones(q + 1))
-        center = bary @ cell_pts[cell]
+        center = bary @ slot_pts[:, cell]
         if trial % 2:
             center = center + 0.1 * diam * rng.standard_normal(mesh.ambient_dim)
         radius = float(np.exp(rng.uniform(np.log(r_lo), np.log(r_hi))))
@@ -340,7 +339,7 @@ def concentration_audit(
         volume = float(vols[inside].sum())
         straddle = np.nonzero(~inside & (dmin <= radius + 2.0 * spread))[0]
         if straddle.size:
-            rel = cell_pts[straddle] - center  # (s, n+1, m)
+            rel = slot_pts[:, straddle].transpose(1, 0, 2) - center  # (s, n+1, m)
             grams = np.matmul(rel, rel.transpose(0, 2, 1)).reshape(straddle.size, -1)
             blocks = np.split(grams, range(_AUDIT_CHUNK, straddle.size, _AUDIT_CHUNK))
             hits = [(g @ outer <= radius * radius).sum(axis=1, dtype=np.int32) for g in blocks]

@@ -243,6 +243,23 @@ def _outcome(count_fn, plane, mesh):
         return f"non-transverse: {exc}"
 
 
+def _moller_trumbore_hits(plane, mesh):
+    """Transverse hits of a line with a triangle mesh in R^3."""
+    rows = plane.normal_rows
+    origin = rows.T @ plane.offset
+    direction = np.cross(rows[0], rows[1])
+    tri = mesh.vertices[mesh.cells]
+    e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    p = np.cross(direction, e2)
+    det = np.einsum("ij,ij->i", e1, p)
+    ok = np.abs(det) > 1e-14
+    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+    s = origin - tri[:, 0]
+    u = np.einsum("ij,ij->i", s, p) * inv
+    v = np.einsum("j,ij->i", direction, np.cross(s, e1)) * inv
+    return int(np.count_nonzero(ok & (u > 0) & (v > 0) & (u + v < 1)))
+
+
 @pytest.fixture(scope="module")
 def coarse_torus():
     return generate_mesh(
@@ -274,6 +291,12 @@ def test_estimate_payload_matches_strided_reference(
 ):
     mesh = request.getfixturevalue(mesh_name)
     current = estimate_index(mesh, samples=1000, seed=seed, degree_bound=degree_bound)
+    if mesh_name == "torus_mesh":
+        # the PL torus exceeds the smooth torus index: three close transverse
+        # hits in the inner saddle, where the smooth torus has one
+        assert current.sampled_max == 6
+        assert current.count_histogram == {0: 403, 2: 526, 4: 70, 6: 1}
+        assert _moller_trumbore_hits(current.witness_plane, mesh) == 6
     monkeypatch.setattr(intersection, "plane_mesh_intersections", _strided_count)
     reference = estimate_index(mesh, samples=1000, seed=seed, degree_bound=degree_bound)
     assert current.to_payload() == reference.to_payload()
@@ -294,7 +317,7 @@ def test_audit_matches_cloud_reference(mesh_name, bound, request):
 def test_audit_memory_does_not_grow_with_cloud(coarse_torus):
     # a per-cell cloud (2,646 cells x 1,000 points x 3 coordinates) takes
     # 63.5 MB alone, and an audit holding one peaked at 148.6 MB here; the
-    # blocked Gram quadrature peaks at 4.9 MB
+    # blocked Gram quadrature peaks at 2.9 MB
     tracemalloc.start()
     try:
         concentration_audit(coarse_torus, 4, trials=200, seed=0)
@@ -304,32 +327,7 @@ def test_audit_memory_does_not_grow_with_cloud(coarse_torus):
     assert peak < 16 * 2**20
 
 
-# -- the PL torus exceeds the smooth torus index -------------------------------
-
-
-def _moller_trumbore_hits(plane, mesh):
-    """Transverse hits of a line with a triangle mesh in R^3."""
-    rows = plane.normal_rows
-    origin = rows.T @ plane.offset
-    direction = np.cross(rows[0], rows[1])
-    tri = mesh.vertices[mesh.cells]
-    e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
-    p = np.cross(direction, e2)
-    det = np.einsum("ij,ij->i", e1, p)
-    ok = np.abs(det) > 1e-14
-    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    s = origin - tri[:, 0]
-    u = np.einsum("ij,ij->i", s, p) * inv
-    v = np.einsum("j,ij->i", direction, np.cross(s, e1)) * inv
-    return int(np.count_nonzero(ok & (u > 0) & (v > 0) & (u + v < 1)))
-
-
-def test_pl_torus_has_six_hit_planes(torus_mesh):
-    # three close transverse hits in the inner saddle, where the smooth torus
-    # has one: degree bound 4 would reject this estimate
-    est = estimate_index(torus_mesh, samples=1000, seed=15)
-    assert est.sampled_max == 6
-    assert est.count_histogram == {0: 403, 2: 526, 4: 70, 6: 1}
-    assert _moller_trumbore_hits(est.witness_plane, torus_mesh) == 6
+def test_pl_torus_six_hit_plane_breaks_degree_bound_four(torus_mesh):
+    # seed 15 draws the 6-hit plane pinned in the payload test above
     with pytest.raises(PreconditionError, match="degree bound"):
         estimate_index(torus_mesh, samples=1000, seed=15, degree_bound=4)
