@@ -167,7 +167,6 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_index(args) -> int:
     mesh = EmbeddedMesh.load(args.mesh)
-    mesh.validate()
     degree_bound = None
     if args.degrees:
         degree_bound = intersection.degree_upper_bound([_int_list(d) for d in args.degrees])

@@ -11,12 +11,12 @@ Families (kind strings):
                            and a disk cap; one boundary circle of radius eps
   product-annulus-circle   A(eps, delta) x S^1_R as a 3-manifold in R^4 (n = 2)
 
-All generators place vertices exactly on the family geometry and derive the
-boundary faces from the cell facets, so the meshes always pass
-EmbeddedMesh.validate().  `h` is the target edge length; `h_boundary`
-optionally grades the mesh toward the Steklov boundary (tangential spacing
-h_boundary, normal spacing from 9x that), which the packing pipeline needs
-when its radius is much smaller than h.
+All generators place vertices exactly on the family geometry and take the
+boundary faces, in facet-table order, from the cells' free facets; every
+EmbeddedMesh validates itself on construction.  `h` is the target edge
+length; `h_boundary` optionally grades the mesh toward the Steklov boundary
+(tangential spacing h_boundary, normal spacing from 9x that), which the
+packing pipeline needs when its radius is much smaller than h.
 """
 
 from __future__ import annotations
@@ -165,28 +165,40 @@ def _fibonacci_sphere(count: int, radius: float) -> np.ndarray:
     return radius * np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
 
 
-def _tag_all(faces: list[tuple], tag: str):
-    width = len(faces[0]) if faces else 1
-    bf = np.array(faces, dtype=np.int64).reshape(len(faces), width)
-    tags = np.array([tag] * len(faces), dtype=object)
-    return bf, tags
+def _bounded_mesh(points, cells, metadata, steklov=None) -> EmbeddedMesh:
+    """Mesh whose boundary faces are the cells' free facets.
+
+    steklov(faces) -> bool per face picks the Steklov faces, the rest are
+    tagged neumann; by default every face is Steklov.
+    """
+    faces = boundary_facets(cells)
+    is_steklov = np.ones(len(faces), dtype=bool) if steklov is None else steklov(faces)
+    tags = np.where(is_steklov, STEKLOV, NEUMANN).astype(object)
+    return EmbeddedMesh(points, cells, faces, tags, metadata)
 
 
-def _band_cells(ring_ids: list[np.ndarray], wrap: bool) -> list[tuple]:
+def _nearer_inner(radius: np.ndarray, eps: float, delta: float):
+    """Steklov test: a face is Steklov when its mean radius is nearer eps than delta."""
+
+    def steklov(faces):
+        rmean = radius[faces].mean(axis=1)
+        return np.abs(rmean - eps) < np.abs(rmean - delta)
+
+    return steklov
+
+
+def _band_cells(ring_ids: list[np.ndarray]) -> np.ndarray:
     """Two triangles per quad over a ring lattice (consistent diagonals).
 
-    ring_ids[k] are the vertex ids of ring k, all the same length.
+    ring_ids[k] are the vertex ids of ring k, all the same length, and each
+    ring wraps around.  Rows run ring by ring, quad by quad: (a, b, c),
+    (a, c, d) for the quad a-b-c-d.
     """
-    cells = []
-    ntheta = len(ring_ids[0])
-    last = ntheta if wrap else ntheta - 1
-    for k in range(len(ring_ids) - 1):
-        lo, hi = ring_ids[k], ring_ids[k + 1]
-        for j in range(last):
-            jn = (j + 1) % ntheta
-            a, b, c, d = lo[j], hi[j], hi[jn], lo[jn]
-            cells.extend([(a, b, c), (a, c, d)])
-    return cells
+    rings = np.asarray(ring_ids, dtype=np.int64)
+    j = np.arange(rings.shape[1])
+    jn = np.roll(j, -1)
+    a, b, c, d = rings[:-1, j], rings[1:, j], rings[1:, jn], rings[:-1, jn]
+    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +232,7 @@ def _structured_annulus(eps, delta, h, h_fine=None, ntheta=None):
         ring_ids.append(np.arange(offset, offset + ntheta))
         offset += ntheta
     points = np.vstack(pts)
-    cells = np.array(_band_cells(ring_ids, wrap=True), dtype=np.int64)
-    return points, cells, ring_ids[0], ring_ids[-1], ntheta
+    return points, _band_cells(ring_ids), ring_ids[0], ring_ids[-1], ntheta
 
 
 def _delaunay_disk(delta: float, h: float, boundary_count: Optional[int] = None):
@@ -270,11 +281,9 @@ def _structured_disk(delta: float, h: float, h_fine: float):
     center = offset
     pts.append(np.zeros((1, 2)))
     points = np.vstack(pts)
-    cells = _band_cells(ring_ids, wrap=True)
     inner = ring_ids[-1]
-    for j in range(ntheta):
-        cells.append((inner[j], inner[(j + 1) % ntheta], center))
-    return points, np.array(cells, dtype=np.int64), ring_ids[0]
+    fan = np.column_stack([inner, np.roll(inner, -1), np.full(ntheta, center)])
+    return points, np.vstack([_band_cells(ring_ids), fan]), ring_ids[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +298,7 @@ def _mesh_ball(desc: FamilyDescriptor) -> EmbeddedMesh:
             points, tris, _ = _structured_disk(delta, desc.h, desc.h_boundary)
         else:
             points, tris, _ = _delaunay_disk(delta, desc.h)
-        bf, tags = _tag_all(boundary_facets(tris), STEKLOV)
-        return EmbeddedMesh(points, tris, bf, tags, {"family": "ball-flat", "n": 2})
+        return _bounded_mesh(points, tris, {"family": "ball-flat", "n": 2})
     # n = 3: layered Fibonacci shells plus the center, Delaunay-filled
     offsets = _graded_offsets(delta, desc.h, desc.h_boundary)
     radii = delta - offsets
@@ -302,8 +310,7 @@ def _mesh_ball(desc: FamilyDescriptor) -> EmbeddedMesh:
         layers.append(_fibonacci_sphere(count, r))
     points = np.vstack(layers)
     tets = Delaunay(points).simplices.astype(np.int64)
-    bf, tags = _tag_all(boundary_facets(tets), STEKLOV)
-    return EmbeddedMesh(points, tets, bf, tags, {"family": "ball-flat", "n": 3})
+    return _bounded_mesh(points, tets, {"family": "ball-flat", "n": 3})
 
 
 def _mesh_annulus(desc: FamilyDescriptor) -> EmbeddedMesh:
@@ -313,15 +320,9 @@ def _mesh_annulus(desc: FamilyDescriptor) -> EmbeddedMesh:
         points, tris, inner, outer, _ = _structured_annulus(
             eps, delta, desc.h, desc.h_boundary
         )
-        inner_set = set(int(v) for v in inner)
-        bf, tags = [], []
-        for face in boundary_facets(tris):
-            bf.append(face)
-            tags.append(STEKLOV if all(v in inner_set for v in face) else NEUMANN)
-        return EmbeddedMesh(
-            points, tris,
-            np.array(bf, dtype=np.int64), np.array(tags, dtype=object),
-            {"family": "annulus-flat", "n": 2},
+        return _bounded_mesh(
+            points, tris, {"family": "annulus-flat", "n": 2},
+            lambda faces: np.isin(faces, inner).all(axis=1),
         )
     # n = 3: spherical shell; Delaunay fills the hole, drop the hole tets
     offsets = _graded_offsets(delta - eps, desc.h, desc.h_boundary)
@@ -335,16 +336,8 @@ def _mesh_annulus(desc: FamilyDescriptor) -> EmbeddedMesh:
     tets = Delaunay(points).simplices.astype(np.int64)
     vertex_r = np.linalg.norm(points, axis=1)
     keep = ~np.all(vertex_r[tets] < eps + 0.5 * gap, axis=1)
-    tets = tets[keep]
-    bf, tags = [], []
-    for face in boundary_facets(tets):
-        rmean = vertex_r[list(face)].mean()
-        bf.append(face)
-        tags.append(STEKLOV if abs(rmean - eps) < abs(rmean - delta) else NEUMANN)
-    return EmbeddedMesh(
-        points, tets,
-        np.array(bf, dtype=np.int64), np.array(tags, dtype=object),
-        {"family": "annulus-flat", "n": 3},
+    return _bounded_mesh(
+        points, tets[keep], {"family": "annulus-flat", "n": 3}, _nearer_inner(vertex_r, eps, delta)
     )
 
 
@@ -364,9 +357,7 @@ def _mesh_cylinder(desc: FamilyDescriptor) -> EmbeddedMesh:
         ring_ids.append(np.arange(offset, offset + ntheta))
         offset += ntheta
     points = np.vstack(pts)
-    tris = np.array(_band_cells(ring_ids, wrap=True), dtype=np.int64)
-    bf, tags = _tag_all(boundary_facets(tris), STEKLOV)
-    return EmbeddedMesh(points, tris, bf, tags, {"family": "cylinder-surface"})
+    return _bounded_mesh(points, _band_cells(ring_ids), {"family": "cylinder-surface"})
 
 
 def _mesh_sphere(desc: FamilyDescriptor) -> EmbeddedMesh:
@@ -376,18 +367,12 @@ def _mesh_sphere(desc: FamilyDescriptor) -> EmbeddedMesh:
         ntheta = _angular_count(2.0 * math.pi * eps, desc.h)
         angles = 2.0 * math.pi * np.arange(ntheta) / ntheta
         points = eps * np.column_stack([np.cos(angles), np.sin(angles)])
-        cells = np.array([(j, (j + 1) % ntheta) for j in range(ntheta)], dtype=np.int64)
-        return EmbeddedMesh(
-            points, cells, np.zeros((0, 1), dtype=np.int64), np.array([], dtype=object),
-            {"family": "sphere-boundary", "n": 2},
-        )
+        cells = np.column_stack([np.arange(ntheta), np.roll(np.arange(ntheta), -1)])
+        return _bounded_mesh(points, cells, {"family": "sphere-boundary", "n": 2})
     count = max(50, int(round(4.0 * math.pi * eps * eps / (desc.h * desc.h))))
     points = _fibonacci_sphere(count, eps)
     cells = ConvexHull(points).simplices.astype(np.int64)
-    return EmbeddedMesh(
-        points, cells, np.zeros((0, 2), dtype=np.int64), np.array([], dtype=object),
-        {"family": "sphere-boundary", "n": 3},
-    )
+    return _bounded_mesh(points, cells, {"family": "sphere-boundary", "n": 3})
 
 
 def _mesh_torus(desc: FamilyDescriptor) -> EmbeddedMesh:
@@ -412,11 +397,7 @@ def _mesh_torus(desc: FamilyDescriptor) -> EmbeddedMesh:
         offset += nphi
     points = np.vstack(pts)
     ring_ids.append(ring_ids[0])  # wrap in the major direction
-    tris = np.array(_band_cells(ring_ids, wrap=True), dtype=np.int64)
-    return EmbeddedMesh(
-        points, tris, np.zeros((0, 2), dtype=np.int64), np.array([], dtype=object),
-        {"family": "torus-surface"},
-    )
+    return _bounded_mesh(points, _band_cells(ring_ids), {"family": "torus-surface"})
 
 
 def _mesh_revolution_closure(desc: FamilyDescriptor) -> EmbeddedMesh:
@@ -435,7 +416,6 @@ def _mesh_revolution_closure(desc: FamilyDescriptor) -> EmbeddedMesh:
         eps, delta, h, desc.h_boundary
     )
     vertices = [np.column_stack([ann_pts, -np.ones(len(ann_pts))])]
-    cells = [tuple(int(v) for v in tri) for tri in ann_tris]
     offset = len(ann_pts)
     seam_bottom = ann_outer
 
@@ -455,7 +435,6 @@ def _mesh_revolution_closure(desc: FamilyDescriptor) -> EmbeddedMesh:
         vertices.append(collar_ring(f))
         ring_ids.append(np.arange(offset, offset + ntheta))
         offset += ntheta
-    cells.extend(_band_cells(ring_ids, wrap=True))
     seam_top = ring_ids[-1]
 
     # cap: disk of radius delta at x3 = +1, reusing the seam ring
@@ -465,12 +444,9 @@ def _mesh_revolution_closure(desc: FamilyDescriptor) -> EmbeddedMesh:
     interior = np.arange(first_ring, len(disk_pts))
     local_to_global[interior] = offset + np.arange(len(interior))
     vertices.append(np.column_stack([disk_pts[interior], np.ones(len(interior))]))
-    for tri in disk_tris:
-        cells.append(tuple(int(v) for v in local_to_global[tri]))
 
     points = np.vstack(vertices)
-    cells = np.array(cells, dtype=np.int64)
-    bf, tags = _tag_all(boundary_facets(cells), STEKLOV)
+    cells = np.vstack([ann_tris, _band_cells(ring_ids), local_to_global[disk_tris]])
     meta = {
         "family": "revolution-closure",
         "n": 2,
@@ -479,7 +455,7 @@ def _mesh_revolution_closure(desc: FamilyDescriptor) -> EmbeddedMesh:
             sorted(int(v) for v in seam_top),
         ],
     }
-    return EmbeddedMesh(points, cells, bf, tags, meta)
+    return _bounded_mesh(points, cells, meta)
 
 
 def _mesh_product_annulus_circle(desc: FamilyDescriptor) -> EmbeddedMesh:
@@ -498,36 +474,21 @@ def _mesh_product_annulus_circle(desc: FamilyDescriptor) -> EmbeddedMesh:
     thetas = 2.0 * math.pi * np.arange(ns) / ns
     na = len(ann_pts)
     circ = np.column_stack([big_r * np.cos(thetas), big_r * np.sin(thetas)])
-    points = np.empty((na * ns, 4))
-    for s in range(ns):
-        block = slice(s * na, (s + 1) * na)
-        points[block, :2] = ann_pts
-        points[block, 2:] = circ[s]
+    points = np.column_stack([np.tile(ann_pts, (ns, 1)), np.repeat(circ, na, axis=0)])
 
-    def vid(a, s):
-        return (s % ns) * na + a
-
-    tets = []
-    for tri in ann_tris:
-        a0, a1, a2 = sorted(int(v) for v in tri)
-        for s in range(ns):
-            b = (vid(a0, s), vid(a1, s), vid(a2, s))
-            t = (vid(a0, s + 1), vid(a1, s + 1), vid(a2, s + 1))
-            tets.append((b[0], b[1], b[2], t[0]))
-            tets.append((b[1], b[2], t[0], t[1]))
-            tets.append((b[2], t[0], t[1], t[2]))
-    tets = np.array(tets, dtype=np.int64)
+    # prism over sorted triangle a at slice s: bottom ids s*na + a, top ids
+    # (s+1 mod ns)*na + a; the tetrahedra are the three 4-windows of
+    # (bottom, top), listed triangle by triangle, slice by slice
+    sorted_tris = np.sort(ann_tris, axis=1)[:, None, :]
+    slices = np.arange(ns)[None, :, None]
+    bottom, top = slices * na + sorted_tris, (slices + 1) % ns * na + sorted_tris
+    prisms = np.concatenate([bottom, top], axis=2)
+    tets = np.stack([prisms[..., w : w + 4] for w in range(3)], axis=2).reshape(-1, 4)
 
     planar_r = np.linalg.norm(points[:, :2], axis=1)
-    bf, tags = [], []
-    for face in boundary_facets(tets):
-        rmean = planar_r[list(face)].mean()
-        bf.append(face)
-        tags.append(STEKLOV if abs(rmean - eps) < abs(rmean - delta) else NEUMANN)
-    return EmbeddedMesh(
-        points, tets,
-        np.array(bf, dtype=np.int64), np.array(tags, dtype=object),
-        {"family": "product-annulus-circle", "n": 2},
+    return _bounded_mesh(
+        points, tets, {"family": "product-annulus-circle", "n": 2},
+        _nearer_inner(planar_r, eps, delta),
     )
 
 
@@ -543,10 +504,8 @@ _GENERATORS = {
 
 
 def generate_mesh(desc: FamilyDescriptor) -> EmbeddedMesh:
-    """Build and validate the mesh for a family descriptor."""
-    mesh = _GENERATORS[desc.kind](desc)
-    mesh.validate()
-    return mesh
+    """Build the (validated) mesh for a family descriptor."""
+    return _GENERATORS[desc.kind](desc)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 An EmbeddedMesh is an n-dimensional simplicial complex with vertices in R^m,
 n <= m.  Cells are (n+1)-tuples of vertex indices; boundary faces are
-n-tuples carrying a "steklov" or "neumann" tag.  Volumes of simplices of any
-codimension are computed with the Gram-determinant formula, so meshes of
-curves, surfaces and solids go through the same code path.
+n-tuples carrying a "steklov" or "neumann" tag.  All facet combinatorics
+(boundary extraction, validation, submesh tags) go through one facet table,
+and the volumes of simplices of any codimension through one batched
+Gram-determinant kernel, so meshes of curves, surfaces and solids share a
+code path.  A mesh validates itself when it is constructed.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import MeshError
+from .errors import MeshError, UsageError
 
 STEKLOV = "steklov"
 NEUMANN = "neumann"
@@ -26,58 +27,70 @@ NEUMANN = "neumann"
 MESH_FORMAT_VERSION = 1
 
 
-def simplex_volume(points) -> float:
-    """d-dimensional Hausdorff volume of the simplex spanned by d+1 points in R^m.
+def simplex_grams(vertices: np.ndarray, simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge Gram matrices E E^T and volumes of many d-simplices at once.
 
-    Uses sqrt(det(E E^T))/d! with E the matrix of edge vectors from the first
-    vertex.  A single point has volume 1 (0-dimensional counting measure).
-    Returns 0 exactly when the simplex is degenerate.
+    Row c of `simplices` indexes the d+1 vertices of one simplex and E holds
+    its edge vectors from the first vertex.  The volume is sqrt(det(E E^T))/d!,
+    0 exactly when the simplex is degenerate and 1 for a point (0-dimensional
+    counting measure).
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("expected a 2-d array of vertex coordinates")
-    d = pts.shape[0] - 1
-    if d > pts.shape[1]:
-        raise ValueError("simplex dimension exceeds ambient dimension")
-    if d == 0:
-        return 1.0
-    edges = pts[1:] - pts[0]
-    gram = edges @ edges.T
-    det = float(np.linalg.det(gram))
-    if det <= 0.0:
-        return 0.0
-    return math.sqrt(det) / math.factorial(d)
-
-
-def _batched_volumes(vertices: np.ndarray, simplices: np.ndarray) -> np.ndarray:
-    """Volumes of many simplices at once (rows of `simplices` index `vertices`)."""
-    if simplices.shape[0] == 0:
-        return np.zeros(0)
-    d = simplices.shape[1] - 1
-    if d == 0:
-        return np.ones(simplices.shape[0])
     pts = vertices[simplices]
     edges = pts[:, 1:, :] - pts[:, :1, :]
     gram = np.einsum("cik,cjk->cij", edges, edges)
     det = np.linalg.det(gram)
-    det = np.where(det > 0.0, det, 0.0)
-    return np.sqrt(det) / math.factorial(d)
+    return gram, np.sqrt(np.where(det > 0.0, det, 0.0)) / math.factorial(simplices.shape[1] - 1)
 
 
-def facet_counts(cells: np.ndarray) -> dict[tuple, int]:
-    """Count how many cells contain each (d-1)-facet, keyed by sorted tuple."""
-    counts: dict[tuple, int] = {}
+def simplex_volume(points) -> float:
+    """d-dimensional Hausdorff volume of the simplex spanned by d+1 points in R^m."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("expected a 2-d array of vertex coordinates")
+    if pts.shape[0] - 1 > pts.shape[1]:
+        raise ValueError("simplex dimension exceeds ambient dimension")
+    return float(simplex_grams(pts, np.arange(len(pts))[None, :])[1][0])
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-d integer array in lexicographic order.
+
+    Returns (unique, inverse, counts) with rows == unique[inverse] and
+    counts[i] the number of rows equal to unique[i].
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(head) - 1
+    return ordered[head], inverse, np.diff(np.flatnonzero(np.append(head, True)))
+
+
+def facet_table(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (d-1)-facets of the d-simplices `cells`, with the number of cells holding each.
+
+    Facets are rows of sorted vertex ids, in lexicographic order.
+    """
     k = cells.shape[1]
-    for cell in cells:
-        for drop in range(k):
-            key = tuple(sorted(int(v) for i, v in enumerate(cell) if i != drop))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    keep = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # row i omits slot i
+    facets = np.sort(cells[:, keep], axis=2).reshape(-1, k - 1)
+    unique, _, counts = _unique_rows(facets)
+    return unique, counts
 
 
-def boundary_facets(cells: np.ndarray) -> list[tuple]:
-    """Facets that belong to exactly one cell, as sorted index tuples."""
-    return sorted(key for key, c in facet_counts(cells).items() if c == 1)
+def boundary_facets(cells: np.ndarray) -> np.ndarray:
+    """Facets that belong to exactly one cell, as rows in facet_table order."""
+    facets, counts = facet_table(cells)
+    return facets[counts == 1]
+
+
+def _edge_graph(simplices: np.ndarray, size: int):
+    """Sparse symmetric adjacency of the simplices' edges on `size` vertices."""
+    i, j = np.triu_indices(simplices.shape[1], 1)
+    rows, cols = simplices[:, i].ravel(), simplices[:, j].ravel()
+    adj = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size))
+    return (adj + adj.T).tocsr()
 
 
 @dataclass
@@ -101,15 +114,16 @@ class EmbeddedMesh:
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.cells = np.asarray(self.cells, dtype=np.int64)
         self.boundary_faces = np.asarray(self.boundary_faces, dtype=np.int64)
-        if self.boundary_faces.size == 0:
-            self.boundary_faces = self.boundary_faces.reshape(0, max(self.intrinsic_dim, 1))
         self.face_tags = np.asarray(self.face_tags, dtype=object)
         if self.vertices.ndim != 2:
             raise MeshError("vertices must be an (N, m) array")
         if self.cells.ndim != 2:
             raise MeshError("cells must be a (C, n+1) array")
+        if self.boundary_faces.size == 0:
+            self.boundary_faces = self.boundary_faces.reshape(0, max(self.intrinsic_dim, 1))
         if len(self.face_tags) != len(self.boundary_faces):
             raise MeshError("face_tags and boundary_faces lengths differ")
+        self.validate()
 
     # -- basic queries ---------------------------------------------------
 
@@ -126,16 +140,16 @@ class EmbeddedMesh:
         return self.vertices.shape[0]
 
     def cell_volumes(self) -> np.ndarray:
-        return _batched_volumes(self.vertices, self.cells)
+        return simplex_grams(self.vertices, self.cells)[1]
 
     def face_volumes(self) -> np.ndarray:
-        return _batched_volumes(self.vertices, self.boundary_faces)
+        return simplex_grams(self.vertices, self.boundary_faces)[1]
 
     def volume(self) -> float:
         return float(self.cell_volumes().sum())
 
     def steklov_mask(self) -> np.ndarray:
-        return np.array([t == STEKLOV for t in self.face_tags], dtype=bool)
+        return self.face_tags == STEKLOV
 
     def steklov_faces(self) -> np.ndarray:
         return self.boundary_faces[self.steklov_mask()]
@@ -146,14 +160,9 @@ class EmbeddedMesh:
 
     def steklov_vertices(self) -> np.ndarray:
         """Sorted indices of vertices lying on Steklov-tagged faces."""
-        faces = self.steklov_faces()
-        if faces.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(faces)
+        return np.unique(self.steklov_faces())
 
     def boundary_vertices(self) -> np.ndarray:
-        if self.boundary_faces.size == 0:
-            return np.zeros(0, dtype=np.int64)
         return np.unique(self.boundary_faces)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -165,24 +174,13 @@ class EmbeddedMesh:
 
     def edge_lengths(self) -> np.ndarray:
         """Lengths of all cell edges (with repetition across cells)."""
-        n1 = self.cells.shape[1]
-        pairs = list(itertools.combinations(range(n1), 2))
+        i, j = np.triu_indices(self.cells.shape[1], 1)
         pts = self.vertices[self.cells]
-        out = [np.linalg.norm(pts[:, i, :] - pts[:, j, :], axis=1) for i, j in pairs]
-        return np.concatenate(out)
+        return np.linalg.norm(pts[:, i, :] - pts[:, j, :], axis=2).T.ravel()
 
     def vertex_adjacency(self):
         """Sparse symmetric vertex adjacency built from cell edges."""
-        n1 = self.cells.shape[1]
-        rows, cols = [], []
-        for i, j in itertools.combinations(range(n1), 2):
-            rows.append(self.cells[:, i])
-            cols.append(self.cells[:, j])
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        data = np.ones(len(r))
-        adj = coo_matrix((data, (r, c)), shape=(self.n_vertices, self.n_vertices))
-        return (adj + adj.T).tocsr()
+        return _edge_graph(self.cells, self.n_vertices)
 
     def is_connected(self) -> bool:
         ncomp, _ = connected_components(self.vertex_adjacency(), directed=False)
@@ -190,37 +188,26 @@ class EmbeddedMesh:
 
     def boundary_components(self) -> int:
         """Number of connected components of the boundary face complex."""
-        if self.boundary_faces.size == 0:
-            return 0
-        faces = self.boundary_faces
-        verts = np.unique(faces)
-        remap = {int(v): i for i, v in enumerate(verts)}
-        rows, cols = [], []
-        k = faces.shape[1]
-        for face in faces:
-            for i, j in itertools.combinations(range(k), 2):
-                rows.append(remap[int(face[i])])
-                cols.append(remap[int(face[j])])
-        if not rows and k == 1:
-            # 0-dimensional boundary: every face is its own component
-            return len(verts)
-        data = np.ones(len(rows))
-        adj = coo_matrix((data, (rows, cols)), shape=(len(verts), len(verts)))
-        ncomp, _ = connected_components(adj + adj.T, directed=False)
-        return int(ncomp)
+        graph = _edge_graph(self.boundary_faces, self.n_vertices)
+        ncomp, _ = connected_components(graph, directed=False)
+        # every vertex off the boundary is an isolated node of the graph
+        return int(ncomp) - (self.n_vertices - len(self.boundary_vertices()))
 
     # -- validation ------------------------------------------------------
 
     def validate(self) -> None:
         """Check structural invariants; raise MeshError on the first failure.
 
-        Verified: finite coordinates, index ranges, every boundary face
-        belongs to exactly one cell, interior facets to exactly two, and
-        every cell has positive volume.
+        Runs on construction.  Verified: finite coordinates, index ranges,
+        known tags, every facet in at most two cells, the boundary faces
+        listed once each and exactly the facets of one cell, and every cell
+        of positive volume.
         """
         n = self.intrinsic_dim
         if not (1 <= n <= self.ambient_dim):
             raise MeshError(f"intrinsic dim {n} not in [1, {self.ambient_dim}]")
+        if self.boundary_faces.ndim != 2 or self.boundary_faces.shape[1] != n:
+            raise MeshError("boundary_faces must be an (F, n) array")
         if not np.isfinite(self.vertices).all():
             raise MeshError("non-finite vertex coordinates")
         if self.cells.size and (self.cells.min() < 0 or self.cells.max() >= self.n_vertices):
@@ -229,22 +216,23 @@ class EmbeddedMesh:
             self.boundary_faces.min() < 0 or self.boundary_faces.max() >= self.n_vertices
         ):
             raise MeshError("boundary face index out of range")
-        for tag in self.face_tags:
-            if tag not in (STEKLOV, NEUMANN):
-                raise MeshError(f"unknown face tag {tag!r}")
+        known = (self.face_tags == STEKLOV) | (self.face_tags == NEUMANN)
+        if not known.all():
+            raise MeshError(f"unknown face tag {self.face_tags[~known][0]!r}")
 
-        counts = facet_counts(self.cells)
-        bad = [k for k, c in counts.items() if c > 2]
-        if bad:
-            raise MeshError(f"facet {bad[0]} shared by more than two cells")
-        declared = {tuple(sorted(int(v) for v in f)) for f in self.boundary_faces}
-        actual = {k for k, c in counts.items() if c == 1}
-        if declared != actual:
-            missing = actual - declared
-            extra = declared - actual
+        facets, counts = facet_table(self.cells)
+        if (counts > 2).any():
+            bad = tuple(facets[counts > 2][0].tolist())
+            raise MeshError(f"facet {bad} shared by more than two cells")
+        declared = np.sort(self.boundary_faces, axis=1)
+        distinct, group, _ = _unique_rows(np.concatenate([declared, facets[counts == 1]]))
+        listed = np.bincount(group[: len(declared)], minlength=len(distinct))
+        free = np.bincount(group[len(declared) :], minlength=len(distinct))
+        if (listed != free).any():
+            missing, extra, repeated = (listed < free).sum(), (free == 0).sum(), (listed > 1).sum()
             raise MeshError(
                 f"boundary faces inconsistent with cell facets "
-                f"(missing {len(missing)}, extra {len(extra)})"
+                f"(missing {missing}, extra {extra}, repeated {repeated})"
             )
 
         vols = self.cell_volumes()
@@ -289,19 +277,16 @@ class EmbeddedMesh:
         used = np.unique(cells)
         remap = -np.ones(self.n_vertices, dtype=np.int64)
         remap[used] = np.arange(len(used))
-        old_tags = {
-            tuple(sorted(int(v) for v in face)): tag
-            for face, tag in zip(self.boundary_faces, self.face_tags)
-        }
-        faces, tags = [], []
-        for facet in boundary_facets(cells):
-            faces.append([remap[v] for v in facet])
-            tags.append(old_tags.get(facet, NEUMANN))
+        faces = boundary_facets(cells)
+        old = np.sort(self.boundary_faces, axis=1)
+        distinct, group, _ = _unique_rows(np.concatenate([old, faces]))
+        tag_of = np.full(len(distinct), NEUMANN, dtype=object)
+        tag_of[group[: len(old)]] = self.face_tags
         return EmbeddedMesh(
             self.vertices[used],
             remap[cells],
-            np.array(faces, dtype=np.int64).reshape(len(faces), self.intrinsic_dim),
-            np.array(tags, dtype=object),
+            remap[faces],
+            tag_of[group[len(old) :]],
             dict(self.metadata),
         )
 
@@ -340,20 +325,21 @@ class EmbeddedMesh:
 
     @classmethod
     def from_document(cls, doc: dict) -> "EmbeddedMesh":
-        if doc.get("version") != MESH_FORMAT_VERSION:
-            raise MeshError(f"unsupported mesh document version {doc.get('version')!r}")
-        faces = doc.get("boundary_faces", [])
-        n = int(doc["intrinsic_dim"])
-        bf = np.array([f["indices"] for f in faces], dtype=np.int64).reshape(len(faces), n)
-        tags = np.array([f["tag"] for f in faces], dtype=object)
-        mesh = cls(
-            np.array(doc["vertices"], dtype=float),
-            np.array(doc["cells"], dtype=np.int64),
-            bf,
-            tags,
-            doc.get("metadata", {}),
-        )
-        if mesh.ambient_dim != int(doc["ambient_dim"]):
+        """Validated mesh from a parsed document; MeshError if it is malformed."""
+        try:
+            if doc.get("version") != MESH_FORMAT_VERSION:
+                raise MeshError(f"unsupported mesh document version {doc.get('version')!r}")
+            faces = doc.get("boundary_faces", [])
+            n = int(doc["intrinsic_dim"])
+            ambient = int(doc["ambient_dim"])
+            vertices = np.array(doc["vertices"], dtype=float)
+            cells = np.array(doc["cells"], dtype=np.int64)
+            bf = np.array([f["indices"] for f in faces], dtype=np.int64).reshape(len(faces), n)
+            tags = np.array([f["tag"] for f in faces], dtype=object)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise MeshError(f"malformed mesh document ({type(exc).__name__}: {exc})") from exc
+        mesh = cls(vertices, cells, bf, tags, doc.get("metadata", {}))
+        if mesh.ambient_dim != ambient:
             raise MeshError("ambient_dim field disagrees with vertex data")
         if mesh.intrinsic_dim != n:
             raise MeshError("intrinsic_dim field disagrees with cell data")
@@ -361,5 +347,12 @@ class EmbeddedMesh:
 
     @classmethod
     def load(cls, path) -> "EmbeddedMesh":
-        with open(path) as fh:
-            return cls.from_document(json.load(fh))
+        """Read a mesh document; UsageError if the file cannot be read."""
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read mesh file {path}: {exc.strerror or exc}") from exc
+        except ValueError as exc:
+            raise MeshError(f"mesh file {path} is not JSON ({exc})") from exc
+        return cls.from_document(doc)

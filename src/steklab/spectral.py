@@ -15,7 +15,6 @@ from a dense eigensolve of that inverted block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,8 +24,8 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 from scipy.sparse.linalg import norm as spnorm
 
-from .errors import MeshError, NumericalError, UsageError
-from .mesh import NEUMANN, STEKLOV, EmbeddedMesh
+from .errors import NumericalError, UsageError
+from .mesh import NEUMANN, STEKLOV, EmbeddedMesh, simplex_grams
 
 KIND_STEKLOV = "steklov"
 KIND_STEKLOV_NEUMANN = "steklov-neumann"
@@ -76,18 +75,9 @@ class SpectralResult:
 
 
 def _cell_geometry(mesh: EmbeddedMesh):
-    """Per-cell edge Grams, inverses and volumes; aborts on a degenerate cell."""
-    n = mesh.intrinsic_dim
-    pts = mesh.vertices[mesh.cells]
-    edges = pts[:, 1:, :] - pts[:, :1, :]
-    gram = np.einsum("cik,cjk->cij", edges, edges)
-    det = np.linalg.det(gram)
-    bad = np.nonzero(det <= 0.0)[0]
-    if bad.size:
-        raise MeshError(f"degenerate simplex at cell {int(bad[0])}")
-    vols = np.sqrt(det) / math.factorial(n)
-    ginv = np.linalg.inv(gram)
-    return ginv, vols
+    """Per-cell inverse edge Grams and volumes (cells are nondegenerate once validated)."""
+    gram, vols = simplex_grams(mesh.vertices, mesh.cells)
+    return np.linalg.inv(gram), vols
 
 
 def _shape_derivatives(n: int) -> np.ndarray:
@@ -117,29 +107,13 @@ def assemble_operators(mesh: EmbeddedMesh) -> tuple[csr_matrix, csr_matrix]:
 
     faces = mesh.steklov_faces()
     d = n - 1
-    if faces.size == 0:
-        mass = csr_matrix((nv, nv))
-        return stiffness, mass
-    if d == 0:
-        fvols = np.ones(len(faces))
-    else:
-        pts = mesh.vertices[faces]
-        edges = pts[:, 1:, :] - pts[:, :1, :]
-        gram = np.einsum("fik,fjk->fij", edges, edges)
-        det = np.linalg.det(gram)
-        fvols = np.sqrt(np.maximum(det, 0.0)) / math.factorial(d)
+    _, fvols = simplex_grams(mesh.vertices, faces)
     template = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
     mloc = fvols[:, None, None] * template[None, :, :]
     rows = np.repeat(faces[:, :, None], d + 1, axis=2)
     cols = np.repeat(faces[:, None, :], d + 1, axis=1)
     mass = coo_matrix((mloc.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)).tocsr()
     return stiffness, mass
-
-
-def assemble(problem: SpectralProblem) -> tuple[csr_matrix, csr_matrix]:
-    """Validated assembly for a posed problem."""
-    problem.mesh.validate()
-    return assemble_operators(problem.mesh)
 
 
 def solve_steklov(problem: SpectralProblem) -> SpectralResult:
@@ -155,7 +129,7 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
     sparse pencil, meaningful at sigma_0 too, where |K u| vanishes.
     """
     mesh = problem.mesh
-    stiffness, mass = assemble(problem)
+    stiffness, mass = assemble_operators(mesh)
     if not mesh.is_connected():
         raise NumericalError("mesh is disconnected; the shifted stiffness is singular")
     gamma = mesh.steklov_vertices()

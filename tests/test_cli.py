@@ -282,3 +282,81 @@ def test_certify_payload_deterministic(tmp_path, capsys):
                     "--i-sigma", "2", "--seed", "5"]) == 0
         payloads.append(json.loads(capsys.readouterr().out)["payload"])
     assert payloads[0] == payloads[1]
+
+
+# -- mesh documents that do not describe a valid mesh ---------------------------
+
+MESH_COMMANDS = {
+    "spectrum": ["--kmax", "1"],
+    "index": ["--samples", "10"],
+    "certify": ["--k", "1", "--i-sigma", "2"],
+}
+
+
+@pytest.fixture(scope="module")
+def disk_document():
+    from steklab.families import FamilyDescriptor, generate_mesh
+
+    return generate_mesh(FamilyDescriptor("ball-flat", h=0.3, n=2, delta=1.0)).to_document()
+
+
+def _corrupt(doc, case):
+    """JSON text of a mesh document broken in one way."""
+    doc = json.loads(json.dumps(doc))
+    if case == "not-json":
+        return "this is not JSON {"
+    if case == "not-an-object":
+        return json.dumps(doc["vertices"])
+    if case == "missing-key":
+        del doc["cells"]
+    elif case == "flat-vertices":
+        doc["vertices"] = [x for v in doc["vertices"] for x in v]
+    elif case == "ragged-cells":
+        doc["cells"][0] = doc["cells"][0][:2]
+    elif case == "face-not-an-object":
+        doc["boundary_faces"][0] = 5
+    elif case == "repeated-face":
+        doc["boundary_faces"].append(dict(doc["boundary_faces"][0]))
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", sorted(MESH_COMMANDS))
+@pytest.mark.parametrize(
+    "case",
+    ["not-json", "not-an-object", "missing-key", "flat-vertices", "ragged-cells",
+     "face-not-an-object", "repeated-face"],
+)
+def test_malformed_mesh_document_exits_4(tmp_path, capsys, disk_document, command, case):
+    mesh_path = tmp_path / "mesh.json"
+    mesh_path.write_text(_corrupt(disk_document, case))
+    out = tmp_path / "report.json"
+    code = run([command, "--mesh", str(mesh_path), *MESH_COMMANDS[command], "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("precondition failure:")
+    assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(MESH_COMMANDS))
+def test_missing_mesh_file_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "report.json"
+    code = run([command, "--mesh", str(tmp_path / "absent.json"), *MESH_COMMANDS[command],
+                "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "absent.json" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
+
+
+def test_certify_validates_its_mesh(tmp_path, capsys, disk_document):
+    doc = json.loads(json.dumps(disk_document))
+    doc["cells"][0][1] = doc["cells"][0][0]  # a repeated vertex in one cell
+    mesh_path = tmp_path / "mesh.json"
+    mesh_path.write_text(json.dumps(doc))
+    code = run(["certify", "--mesh", str(mesh_path), "--k", "1", "--i-sigma", "2"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "facet" in captured.err
+    assert "Traceback" not in captured.err + captured.out

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import random_rotation
 from steklab.errors import MeshError
-from steklab.mesh import NEUMANN, STEKLOV, EmbeddedMesh, simplex_volume
+from steklab.families import FamilyDescriptor, generate_mesh
+from steklab.mesh import NEUMANN, STEKLOV, EmbeddedMesh, facet_table, simplex_volume
 
 
 def cayley_menger_volume(points):
@@ -100,19 +101,33 @@ def test_validate_rejects_wrong_boundary():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     cells = np.array([[0, 1, 2]])
     faces = np.array([[0, 1]])  # two edges missing
-    mesh = EmbeddedMesh(verts, cells, faces, np.array([STEKLOV], dtype=object))
     with pytest.raises(MeshError, match="boundary"):
-        mesh.validate()
+        EmbeddedMesh(verts, cells, faces, np.array([STEKLOV], dtype=object))
 
 
 def test_validate_rejects_degenerate_cell():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     cells = np.array([[0, 1, 2]])
-    mesh = EmbeddedMesh(
-        verts, cells, np.array([[0, 1], [1, 2], [0, 2]]), np.array([STEKLOV] * 3, dtype=object)
-    )
     with pytest.raises(MeshError, match="volume"):
-        mesh.validate()
+        EmbeddedMesh(
+            verts, cells, np.array([[0, 1], [1, 2], [0, 2]]), np.array([STEKLOV] * 3, dtype=object)
+        )
+
+
+def test_validate_rejects_repeated_boundary_face():
+    # listed twice, edge 0-1 would count twice in |Sigma| and in B
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    faces = np.array([[0, 1], [1, 2], [0, 2], [1, 0]])
+    with pytest.raises(MeshError, match="repeated 1"):
+        EmbeddedMesh(verts, np.array([[0, 1, 2]]), faces, np.array([STEKLOV] * 4, dtype=object))
+
+
+def test_validate_rejects_face_of_wrong_width():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match="boundary_faces"):
+        EmbeddedMesh(
+            verts, np.array([[0, 1, 2]]), np.array([[0, 1, 2]]), np.array([STEKLOV], dtype=object)
+        )
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -210,3 +225,92 @@ def test_submesh_inherits_tags(annulus_mesh):
     inner_half.validate()
     tags = set(inner_half.face_tags)
     assert tags == {"steklov", "neumann"}  # original inner circle + new cut
+
+
+# -- reference: the per-cell dict bookkeeping that the facet table replaced ---
+
+
+def reference_facet_counts(cells):
+    counts = {}
+    k = cells.shape[1]
+    for cell in cells:
+        for drop in range(k):
+            key = tuple(sorted(int(v) for i, v in enumerate(cell) if i != drop))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def reference_boundary_facets(cells):
+    return sorted(key for key, c in reference_facet_counts(cells).items() if c == 1)
+
+
+def reference_tags(desc, mesh):
+    """The families' tagging rules, applied one face at a time."""
+    faces = [list(f) for f in mesh.boundary_faces]
+    if desc.kind == "annulus-flat" and desc.n == 2:
+        radius = np.linalg.norm(mesh.vertices, axis=1)
+        inner = {i for i, r in enumerate(radius) if abs(r - desc.eps) < 1e-9}
+        return [STEKLOV if all(v in inner for v in f) else NEUMANN for f in faces]
+    if desc.kind in ("annulus-flat", "product-annulus-circle"):
+        radius = np.linalg.norm(mesh.vertices[:, : 3 if desc.kind == "annulus-flat" else 2], axis=1)
+        tags = []
+        for f in faces:
+            rmean = radius[f].mean()
+            tags.append(STEKLOV if abs(rmean - desc.eps) < abs(rmean - desc.delta) else NEUMANN)
+        return tags
+    return [STEKLOV] * len(faces)
+
+
+FAMILY_CASES = [
+    FamilyDescriptor("ball-flat", h=0.2, n=2, delta=1.0),
+    FamilyDescriptor("ball-flat", h=0.3, n=2, delta=1.0, h_boundary=0.05),
+    FamilyDescriptor("ball-flat", h=0.35, n=3, delta=1.0),
+    FamilyDescriptor("ball-flat", h=0.5, n=3, delta=1.0, h_boundary=0.25),
+    FamilyDescriptor("annulus-flat", h=0.2, n=2, eps=1.0, delta=2.0),
+    FamilyDescriptor("annulus-flat", h=0.3, n=2, eps=1.0, delta=2.0, h_boundary=0.1),
+    FamilyDescriptor("annulus-flat", h=0.45, n=3, eps=1.0, delta=2.0),
+    FamilyDescriptor("annulus-flat", h=0.5, n=3, eps=1.0, delta=2.0, h_boundary=0.3),
+    FamilyDescriptor("cylinder-surface", h=0.2, radius=1.0, length=1.0),
+    FamilyDescriptor("cylinder-surface", h=0.3, radius=1.0, length=1.0, h_boundary=0.05),
+    FamilyDescriptor("sphere-boundary", h=0.2, n=2, eps=1.0),
+    FamilyDescriptor("sphere-boundary", h=0.3, n=3, eps=1.0),
+    FamilyDescriptor("torus-surface", h=0.4, major_radius=2.0, minor_radius=1.0),
+    FamilyDescriptor("revolution-closure", h=0.3, n=2, eps=0.5, delta=2.0),
+    FamilyDescriptor("revolution-closure", h=0.4, n=2, eps=0.5, delta=2.0, h_boundary=0.1),
+    FamilyDescriptor("product-annulus-circle", h=0.35, n=2, eps=0.5, delta=2.0, circle_radius=0.3),
+    FamilyDescriptor(
+        "product-annulus-circle", h=0.38, n=2, eps=0.5, delta=2.0, circle_radius=0.3, h_boundary=0.2
+    ),
+]
+
+
+def _case_id(desc):
+    return f"{desc.kind}-n{desc.n}-h{desc.h}" + ("-graded" if desc.h_boundary else "")
+
+
+@pytest.mark.parametrize("desc", FAMILY_CASES, ids=_case_id)
+def test_facet_table_matches_dict_reference(desc):
+    mesh = generate_mesh(desc)
+    counts = reference_facet_counts(mesh.cells)
+    facets, table_counts = facet_table(mesh.cells)
+    assert [tuple(f) for f in facets.tolist()] == sorted(counts)
+    assert table_counts.tolist() == [counts[key] for key in sorted(counts)]
+    assert mesh.boundary_faces.tolist() == [list(f) for f in reference_boundary_facets(mesh.cells)]
+    assert list(mesh.face_tags) == reference_tags(desc, mesh)
+
+
+@pytest.mark.parametrize("desc", [FAMILY_CASES[i] for i in (4, 2, 15)], ids=_case_id)
+def test_submesh_matches_dict_reference(desc):
+    mesh = generate_mesh(desc)
+    old_tags = {
+        tuple(sorted(int(v) for v in f)): t for f, t in zip(mesh.boundary_faces, mesh.face_tags)
+    }
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        keep = np.nonzero(rng.random(len(mesh.cells)) < 0.6)[0]
+        sub = mesh.submesh(keep)
+        remap = {int(v): i for i, v in enumerate(np.unique(mesh.cells[keep]))}
+        facets = reference_boundary_facets(mesh.cells[keep])
+        assert sub.boundary_faces.tolist() == [[remap[v] for v in f] for f in facets]
+        assert list(sub.face_tags) == [old_tags.get(f, NEUMANN) for f in facets]
+        assert {STEKLOV, NEUMANN} <= set(sub.face_tags)

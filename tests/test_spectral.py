@@ -35,6 +35,11 @@ def test_interval_steklov_matches_hand_computation():
     assert result.eigenvalues == pytest.approx([0.0, 2.0], abs=1e-12)
 
 
+def test_interval_has_two_boundary_components():
+    # a 0-dimensional boundary: each endpoint is its own component
+    assert interval_mesh().boundary_components() == 2
+
+
 def test_stiffness_rows_sum_to_zero():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = EmbeddedMesh(
