@@ -21,7 +21,7 @@ I(M) = |Sigma| / |M|^((n-1)/n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .closed_forms import (
     separated_mode_sn_eigenvalue,
     sphere_laplace_spectrum,
 )
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .euclidean import unit_ball_volume, unit_sphere_area
 from .packing import ConstantsConfig, literal_covering_constant
 
@@ -125,14 +125,17 @@ class BoundInputs:
     def __post_init__(self):
         if not 2 <= self.n <= self.m:
             raise UsageError("need 2 <= n <= m")
-        if min(self.volume_m, self.volume_sigma) <= 0:
-            raise UsageError("volumes must be positive")
         if min(self.i_m, self.i_sigma) < 1:
             raise UsageError("intersection indices must be positive integers")
         if self.k < 1:
             raise UsageError("k must be at least 1")
-        if self.r_0 is not None and self.r_0 <= 0:
-            raise UsageError("r_0 must be positive")
+        # every integer enters the bounds as a double, so it must be an exact one
+        if max(self.m, self.i_m, self.i_sigma, self.k) > 2**53:
+            raise UsageError("m, the intersection indices and k must not exceed 2^53")
+        for name in ("volume_m", "volume_sigma", "r_0", "covering"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise UsageError(f"{name} must be positive and finite")
 
     def constants(self) -> BoundConstants:
         return constants(self.n, self.m, self.config, self.covering)
@@ -228,12 +231,18 @@ class BoundReport:
 def evaluate_bounds(
     inputs: BoundInputs, sigma_k: Optional[float] = None, tolerance: float = 1e-9
 ) -> BoundReport:
-    """Evaluate every applicable bound; compare against sigma_k when given."""
-    vol_rhs = volume_bound(inputs)
-    inj_rhs, k0 = (None, None)
-    if inputs.r_0 is not None:
-        inj_rhs, k0 = injectivity_bound(inputs)
-    lhs_factor, iso_rhs = isoperimetric_bound(inputs)
+    """Evaluate every applicable bound; compare against sigma_k when given.
+
+    NumericalError when a bound is not representable in double precision.
+    """
+    if sigma_k is not None and not math.isfinite(sigma_k):
+        raise UsageError("sigma_k must be finite")
+    try:
+        vol_rhs = volume_bound(inputs)
+        inj_rhs, k0 = injectivity_bound(inputs) if inputs.r_0 is not None else (None, None)
+        lhs_factor, iso_rhs = isoperimetric_bound(inputs)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError(f"the bounds overflow double precision ({exc})") from exc
     satisfied = {}
     if sigma_k is not None:
         slack = tolerance * (1.0 + abs(sigma_k))
@@ -334,17 +343,7 @@ class BlowupRow:
     annulus_mode1_floor: float
 
     def to_payload(self) -> dict:
-        return {
-            "eps": self.eps,
-            "delta": self.delta,
-            "circle_radius": self.circle_radius,
-            "mode_min": self.mode_min,
-            "argmin_mode": list(self.argmin_mode),
-            "reference": self.reference,
-            "satisfied": self.satisfied,
-            "annulus_mode1": self.annulus_mode1,
-            "annulus_mode1_floor": self.annulus_mode1_floor,
-        }
+        return {**asdict(self), "argmin_mode": list(self.argmin_mode)}
 
 
 def blowup_experiment(
@@ -417,13 +416,7 @@ class ObstructionRow:
     value: float
 
     def to_payload(self) -> dict:
-        return {
-            "k": self.k,
-            "length": self.length,
-            "sigma_2k": self.sigma_2k,
-            "volume_m": self.volume_m,
-            "value": self.value,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -435,13 +428,7 @@ class ObstructionResult:
     consistent: bool
 
     def to_payload(self) -> dict:
-        return {
-            "beta": self.beta,
-            "fitted_exponent": self.fitted_exponent,
-            "required_exponent": self.required_exponent,
-            "consistent": self.consistent,
-            "rows": [r.to_payload() for r in self.rows],
-        }
+        return asdict(self)  # the rows become their payloads too
 
 
 def obstruction_experiment(

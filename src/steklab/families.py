@@ -22,7 +22,7 @@ packing pipeline needs when its radius is much smaller than h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -108,12 +108,7 @@ class GeometricSummary:
     injectivity_radius: Optional[float] = None
 
     def to_payload(self) -> dict:
-        return {
-            "volume_m": self.volume_m,
-            "volume_sigma": self.volume_sigma,
-            "isoperimetric_ratio": self.isoperimetric_ratio,
-            "injectivity_radius": self.injectivity_radius,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +182,12 @@ def _nearer_inner(radius: np.ndarray, eps: float, delta: float):
     return steklov
 
 
+def _rings(angles: np.ndarray, radii) -> np.ndarray:
+    """(len(radii), len(angles), 2) points of concentric circles."""
+    radii = np.asarray(radii, dtype=float)[:, None]
+    return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
+
+
 def _band_cells(ring_ids: list[np.ndarray]) -> np.ndarray:
     """Two triangles per quad over a ring lattice (consistent diagonals).
 
@@ -224,14 +225,8 @@ def _structured_annulus(eps, delta, h, h_fine=None, ntheta=None):
     Returns (points, triangles, inner_ring_ids, outer_ring_ids, ntheta).
     """
     radii, ntheta = _polar_rings(eps, delta, h, h_fine, ntheta)
-    angles = 2.0 * math.pi * np.arange(ntheta) / ntheta
-    pts, ring_ids = [], []
-    offset = 0
-    for r in radii:
-        pts.append(np.column_stack([r * np.cos(angles), r * np.sin(angles)]))
-        ring_ids.append(np.arange(offset, offset + ntheta))
-        offset += ntheta
-    points = np.vstack(pts)
+    points = _rings(2.0 * math.pi * np.arange(ntheta) / ntheta, radii).reshape(-1, 2)
+    ring_ids = np.arange(len(points)).reshape(len(radii), ntheta)
     return points, _band_cells(ring_ids), ring_ids[0], ring_ids[-1], ntheta
 
 
@@ -257,8 +252,6 @@ def _delaunay_disk(delta: float, h: float, boundary_count: Optional[int] = None)
         prev_count = count
         stagger = 0.5 * (k % 2)
         angles = 2.0 * math.pi * (np.arange(count) + stagger) / count
-        if k == 0:
-            angles = 2.0 * math.pi * np.arange(count) / count
         pts.append(np.column_stack([r * np.cos(angles), r * np.sin(angles)]))
     points = np.vstack(pts)
     tris = Delaunay(points).simplices.astype(np.int64)
@@ -271,18 +264,11 @@ def _structured_disk(delta: float, h: float, h_fine: float):
     offsets = _graded_offsets(delta, h, min(h, _NORMAL_TO_TANGENT * h_fine))
     radii = (delta - offsets)[:-1]  # skip the exact center, fan closes it
     ntheta = _angular_count(2.0 * math.pi * delta, h_fine)
-    angles = 2.0 * math.pi * np.arange(ntheta) / ntheta
-    pts, ring_ids = [], []
-    offset = 0
-    for r in radii:
-        pts.append(np.column_stack([r * np.cos(angles), r * np.sin(angles)]))
-        ring_ids.append(np.arange(offset, offset + ntheta))
-        offset += ntheta
-    center = offset
-    pts.append(np.zeros((1, 2)))
-    points = np.vstack(pts)
+    rings = _rings(2.0 * math.pi * np.arange(ntheta) / ntheta, radii).reshape(-1, 2)
+    points = np.vstack([rings, np.zeros((1, 2))])  # the center closes the fan
+    ring_ids = np.arange(len(rings)).reshape(len(radii), ntheta)
     inner = ring_ids[-1]
-    fan = np.column_stack([inner, np.roll(inner, -1), np.full(ntheta, center)])
+    fan = np.column_stack([inner, np.roll(inner, -1), np.full(ntheta, len(rings))])
     return points, np.vstack([_band_cells(ring_ids), fan]), ring_ids[0]
 
 
@@ -348,15 +334,9 @@ def _mesh_cylinder(desc: FamilyDescriptor) -> EmbeddedMesh:
     ntheta = _angular_count(2.0 * math.pi * rho, h_ang)
     h_axial = None if desc.h_boundary is None else min(desc.h, _NORMAL_TO_TANGENT * desc.h_boundary)
     zs = _two_sided_offsets(length, desc.h, h_axial)
-    angles = 2.0 * math.pi * np.arange(ntheta) / ntheta
-    circle = np.column_stack([rho * np.cos(angles), rho * np.sin(angles)])
-    pts, ring_ids = [], []
-    offset = 0
-    for z in zs:
-        pts.append(np.column_stack([circle, np.full(ntheta, z)]))
-        ring_ids.append(np.arange(offset, offset + ntheta))
-        offset += ntheta
-    points = np.vstack(pts)
+    circle = _rings(2.0 * math.pi * np.arange(ntheta) / ntheta, [rho])[0]
+    points = np.column_stack([np.tile(circle, (len(zs), 1)), np.repeat(zs, ntheta)])
+    ring_ids = np.arange(len(points)).reshape(len(zs), ntheta)
     return _bounded_mesh(points, _band_cells(ring_ids), {"family": "cylinder-surface"})
 
 
@@ -389,14 +369,9 @@ def _mesh_torus(desc: FamilyDescriptor) -> EmbeddedMesh:
 
     th = 2.0 * math.pi * np.arange(ntheta) / ntheta
     ph = 2.0 * math.pi * np.arange(nphi) / nphi
-    pts, ring_ids = [], []
-    offset = 0
-    for t in th:
-        pts.append(np.array([point(t, p) for p in ph]))
-        ring_ids.append(np.arange(offset, offset + nphi))
-        offset += nphi
-    points = np.vstack(pts)
-    ring_ids.append(ring_ids[0])  # wrap in the major direction
+    points = np.array([point(t, p) for t in th for p in ph])
+    ring_ids = np.arange(len(points)).reshape(ntheta, nphi)
+    ring_ids = np.vstack([ring_ids, ring_ids[:1]])  # wrap in the major direction
     return _bounded_mesh(points, _band_cells(ring_ids), {"family": "torus-surface"})
 
 
@@ -429,12 +404,9 @@ def _mesh_revolution_closure(desc: FamilyDescriptor) -> EmbeddedMesh:
             [r * np.cos(angles), r * np.sin(angles), np.full(ntheta, math.sin(f))]
         )
 
-    ring_ids = [seam_bottom]
-    for k in range(1, nphi + 1):
-        f = -0.5 * math.pi + math.pi * k / nphi
-        vertices.append(collar_ring(f))
-        ring_ids.append(np.arange(offset, offset + ntheta))
-        offset += ntheta
+    vertices += [collar_ring(-0.5 * math.pi + math.pi * k / nphi) for k in range(1, nphi + 1)]
+    ring_ids = [seam_bottom, *(offset + np.arange(nphi * ntheta).reshape(nphi, ntheta))]
+    offset += nphi * ntheta
     seam_top = ring_ids[-1]
 
     # cap: disk of radius delta at x3 = +1, reusing the seam ring

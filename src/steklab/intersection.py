@@ -177,6 +177,8 @@ def estimate_index(
     """
     if samples < 1:
         raise UsageError("need at least one sample")
+    if seed < 0:
+        raise UsageError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     lo, hi = mesh.bounding_box()
     span = float(np.linalg.norm(hi - lo))
@@ -303,6 +305,8 @@ def concentration_audit(
         raise UsageError("need at least one trial")
     if index_bound < 1:
         raise UsageError("index_bound must be positive")
+    if seed < 0:
+        raise UsageError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     q = mesh.intrinsic_dim
     cap_coeff = 0.5 * index_bound * unit_sphere_area(q)

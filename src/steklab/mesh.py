@@ -93,6 +93,16 @@ def _edge_graph(simplices: np.ndarray, size: int):
     return (adj + adj.T).tocsr()
 
 
+def _index_array(rows) -> np.ndarray:
+    """int64 array of a document's vertex indices; MeshError on a non-integral one."""
+    values = np.array(rows)
+    if values.dtype.kind != "i":  # floats, strings, objects: integral values only
+        values = values.astype(float)
+        if not (np.all(np.abs(values) < 2.0**53) and np.array_equal(np.trunc(values), values)):
+            raise MeshError("mesh document has a non-integral vertex index")
+    return values.astype(np.int64, copy=False)
+
+
 @dataclass
 class EmbeddedMesh:
     """Simplicial n-dimensional mesh with vertices in R^m and tagged boundary.
@@ -333,8 +343,8 @@ class EmbeddedMesh:
             n = int(doc["intrinsic_dim"])
             ambient = int(doc["ambient_dim"])
             vertices = np.array(doc["vertices"], dtype=float)
-            cells = np.array(doc["cells"], dtype=np.int64)
-            bf = np.array([f["indices"] for f in faces], dtype=np.int64).reshape(len(faces), n)
+            cells = _index_array(doc["cells"])
+            bf = _index_array([f["indices"] for f in faces]).reshape(len(faces), n)
             tags = np.array([f["tag"] for f in faces], dtype=object)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MeshError(f"malformed mesh document ({type(exc).__name__}: {exc})") from exc

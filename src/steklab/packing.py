@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import (
@@ -68,10 +70,11 @@ class ConstantsConfig:
     d_ball: float = 1.0
 
     def __post_init__(self):
-        if self.c_cover is not None and self.c_cover < 1:
-            raise UsageError("c_cover must be a positive integer")
-        if self.d_ball <= 0:
-            raise UsageError("d_ball must be positive")
+        # the bounds take C as a double, so it must be an exact one
+        if self.c_cover is not None and not 1 <= self.c_cover <= 2**53:
+            raise UsageError("c_cover must be a positive integer no larger than 2^53")
+        if not 0 < self.d_ball < math.inf:
+            raise UsageError("d_ball must be positive and finite")
 
 
 @dataclass
@@ -92,6 +95,14 @@ class BoundaryMeasure:
 
     def __len__(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def spacing(self) -> float:
+        """Median nearest-neighbour distance among (up to 2000) atoms, measured once."""
+        sample = self.positions[: min(len(self), 2000)]
+        d = cdist(sample, self.positions)
+        np.fill_diagonal(d[:, : len(sample)], np.inf)
+        return float(np.median(d.min(axis=1)))
 
 
 def boundary_measure(mesh: EmbeddedMesh) -> BoundaryMeasure:
@@ -148,10 +159,14 @@ def empirical_covering_constant(
         centers = np.arange(count)
     else:
         centers = rng.choice(count, size=samples, replace=False)
+    # the tree only prefilters: membership is the exact norm test below
+    candidates = cKDTree(positions).query_ball_point(
+        positions[centers], r * (1.0 + 1e-9), return_sorted=True
+    )
     worst = 1
-    for i in centers:
-        d = np.linalg.norm(positions - positions[i], axis=1)
-        ball = positions[d <= r]
+    for i, idx in zip(centers, candidates):
+        idx = np.asarray(idx)
+        ball = positions[idx[np.linalg.norm(positions[idx] - positions[i], axis=1) <= r]]
         pair = cdist(ball, ball) <= r / 2.0
         remaining = np.ones(len(ball), dtype=bool)
         used = 0
@@ -162,14 +177,6 @@ def empirical_covering_constant(
             used += 1
         worst = max(worst, used)
     return worst
-
-
-def _atom_spacing(measure: BoundaryMeasure) -> float:
-    """Median nearest-neighbour distance among (up to 2000) boundary atoms."""
-    sample = measure.positions[: min(len(measure), 2000)]
-    d = cdist(sample, measure.positions)
-    np.fill_diagonal(d[:, : len(sample)], np.inf)
-    return float(np.median(d.min(axis=1)))
 
 
 def resolve_covering_constant(
@@ -186,6 +193,7 @@ def resolve_covering_constant(
     The empirical constant depends on the radius, which depends back on the
     constant, so the measured value at radius r(C) must not exceed C itself.
     Returns the smallest such admissible C >= 2 together with its radius.
+    Each distinct probe radius is measured once.
     """
     if config.c_cover is not None:
         c = int(config.c_cover)
@@ -194,11 +202,13 @@ def resolve_covering_constant(
     else:
         # covering counts are only meaningful at scales the atom cloud
         # resolves, so probe at least a dozen atom spacings
-        floor = 12.0 * _atom_spacing(measure)
+        floor = 12.0 * measure.spacing
+        counts = {}
         for c in range(2, 65):
-            r = choose_radius(measure.total, i_sigma, k, n, c)
-            probe = max(r, floor)
-            if empirical_covering_constant(measure.positions, probe, seed=seed) <= c:
+            probe = max(choose_radius(measure.total, i_sigma, k, n, c), floor)
+            if probe not in counts:
+                counts[probe] = empirical_covering_constant(measure.positions, probe, seed=seed)
+            if counts[probe] <= c:
                 break
         else:
             raise PreconditionError(
@@ -336,11 +346,13 @@ class PackingCertificate:
         }
 
 
-def _distance_to_set(vertices: np.ndarray, set_positions: np.ndarray) -> np.ndarray:
-    out = np.empty(len(vertices))
-    for start in range(0, len(vertices), 8 * _CHUNK):
-        stop = start + 8 * _CHUNK
-        out[start:stop] = cdist(vertices[start:stop], set_positions).min(axis=1)
+def _distance_to_set(tree: cKDTree, set_positions: np.ndarray, r: float) -> np.ndarray:
+    """Distance from each tree point to the set, inf beyond r (where g is 0)."""
+    near = np.unique(np.concatenate(tree.query_ball_point(set_positions, r * (1.0 + 1e-9))))
+    out = np.full(tree.n, np.inf)
+    for start in range(0, len(near), 8 * _CHUNK):
+        rows = near[start : start + 8 * _CHUNK]
+        out[rows] = cdist(tree.data[rows], set_positions).min(axis=1)
     return out
 
 
@@ -362,6 +374,8 @@ def certify_sigma_k(
         raise UsageError("k must be at least 1")
     if i_sigma < 1:
         raise UsageError("i_sigma must be a positive integer")
+    if seed < 0:
+        raise UsageError("seed must be non-negative")
     n = mesh.intrinsic_dim
     if n < 2:
         raise UsageError("certification needs an at least 2-dimensional mesh")
@@ -371,7 +385,7 @@ def certify_sigma_k(
     )
 
     # the greedy chain needs neighbours within r
-    spacing = _atom_spacing(measure)
+    spacing = measure.spacing
     if r < spacing:
         raise ResolutionError(
             f"packing radius r = {r:.3e} is below the boundary mesh spacing "
@@ -385,8 +399,9 @@ def certify_sigma_k(
     if operators is None:
         operators = assemble_operators(mesh)
     stiffness, mass = operators
+    tree = cKDTree(mesh.vertices)
     for i, members in enumerate(packing.sets):
-        dist = _distance_to_set(mesh.vertices, measure.positions[members])
+        dist = _distance_to_set(tree, measure.positions[members], r)
         g = np.maximum(0.0, 1.0 - dist / r)
         support = np.nonzero(g > 0.0)[0]
         clash = owners[support]
@@ -423,10 +438,10 @@ def certify_sigma_k(
         fem_sigma_k = float(fem.eigenvalues[k])
     valid = fem_sigma_k <= certified * (1.0 + 1e-9) + 1e-8
 
-    slack = 0.0
-    for i in selected:
-        grads = cell_gradient_norms(mesh, vecs[i])
-        slack = max(slack, float(grads.max()) * r)
+    # supports are disjoint and no cell bridges two, so one pass over the sum
+    # gives every cell its own function's gradient
+    grads = cell_gradient_norms(mesh, np.sum([vecs[i] for i in selected], axis=0))
+    slack = float(grads.max()) * r
 
     return PackingCertificate(
         k=k,

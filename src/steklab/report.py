@@ -16,6 +16,8 @@ import time
 
 import numpy as np
 
+from .errors import NumericalError
+
 REPORT_SCHEMA_VERSION = 1
 TABLE_HEADER = ["k", "epsilon", "value", "bound", "satisfied"]
 
@@ -79,7 +81,11 @@ def run_report(
 
 
 def write_report(doc: dict, path=None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    """Write the report as strict JSON; NumericalError on a non-finite number."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"the report holds a non-finite number ({exc})") from exc
     if path is None:
         sys.stdout.write(text + "\n")
     else:

@@ -212,13 +212,19 @@ def rayleigh_quotient(mesh: EmbeddedMesh, values: np.ndarray) -> float:
 
 
 def cell_gradient_norms(mesh: EmbeddedMesh, values: np.ndarray) -> np.ndarray:
-    """Per-cell Euclidean norm of the piecewise gradient of a vertex vector."""
-    v = np.asarray(values, dtype=float)
-    ginv, _ = _cell_geometry(mesh)
-    shape = _shape_derivatives(mesh.intrinsic_dim)
-    dv = np.einsum("ai,ci->ca", shape, v[mesh.cells])
-    sq = np.einsum("ca,cab,cb->c", dv, ginv, dv)
-    return np.sqrt(np.maximum(sq, 0.0))
+    """Per-cell Euclidean norm of the piecewise gradient of a vertex vector.
+
+    Only the cells where the vector does not vanish are measured; the
+    gradient on the others is 0.
+    """
+    v = np.asarray(values, dtype=float)[mesh.cells]
+    live = np.flatnonzero(v.any(axis=1))
+    gram, _ = simplex_grams(mesh.vertices, mesh.cells[live])
+    dv = np.einsum("ai,ci->ca", _shape_derivatives(mesh.intrinsic_dim), v[live])
+    sq = np.einsum("ca,cab,cb->c", dv, np.linalg.inv(gram), dv)
+    out = np.zeros(len(v))
+    out[live] = np.sqrt(np.maximum(sq, 0.0))
+    return out
 
 
 def spectra_match(

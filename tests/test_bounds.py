@@ -20,7 +20,7 @@ from steklab.closed_forms import (
     expand_multiplicities,
     sphere_laplace_spectrum,
 )
-from steklab.errors import UsageError
+from steklab.errors import NumericalError, UsageError
 from steklab.packing import ConstantsConfig
 
 
@@ -198,6 +198,35 @@ def test_evaluate_bounds_report():
     assert report.satisfied == {"volume": True, "isoperimetric": True, "injectivity": True}
     payload = report.to_payload()
     assert payload["constants"]["covering_constant"] == 1024
+
+
+BASE_INPUTS = dict(n=2, m=2, volume_m=math.pi, volume_sigma=2 * math.pi, i_m=1, i_sigma=2, k=1)
+
+
+@pytest.mark.parametrize("name", ["volume_m", "volume_sigma", "r_0", "covering"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+def test_bound_inputs_reject_non_finite_values(name, value):
+    with pytest.raises(UsageError, match=name):
+        BoundInputs(**{**BASE_INPUTS, name: value})
+
+
+@pytest.mark.parametrize("name", ["m", "i_m", "i_sigma", "k"])
+def test_bound_inputs_reject_integers_beyond_double_precision(name):
+    with pytest.raises(UsageError, match="2\\^53"):
+        BoundInputs(**{**BASE_INPUTS, name: 10**400})
+
+
+def test_evaluate_bounds_rejects_non_finite_sigma_k():
+    with pytest.raises(UsageError, match="sigma_k"):
+        evaluate_bounds(BoundInputs(**BASE_INPUTS), sigma_k=math.nan)
+
+
+def test_evaluate_bounds_overflow_is_numerical_error():
+    # |Sigma|^3 underflows to 0 in the volume bound; a huge m overflows 32^m
+    with pytest.raises(NumericalError, match="double precision"):
+        evaluate_bounds(BoundInputs(**{**BASE_INPUTS, "volume_sigma": 1e-200}))
+    with pytest.raises(NumericalError, match="double precision"):
+        evaluate_bounds(BoundInputs(**{**BASE_INPUTS, "m": 10**6}))
 
 
 def test_fit_asymptotics_disk():

@@ -4,10 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from steklab import spectral
 from steklab.cli import main
+from steklab.errors import UsageError
+from steklab.intersection import concentration_audit, estimate_index
+from steklab.mesh import EmbeddedMesh
+from steklab.packing import ConstantsConfig, certify_sigma_k
 
 
 def run(args):
@@ -317,6 +323,10 @@ def _corrupt(doc, case):
         doc["boundary_faces"][0] = 5
     elif case == "repeated-face":
         doc["boundary_faces"].append(dict(doc["boundary_faces"][0]))
+    elif case == "non-integral-cell":  # truncation would restore the valid cell
+        doc["cells"][0][1] += 0.9
+    elif case == "non-integral-face":
+        doc["boundary_faces"][0]["indices"][0] += 0.5
     return json.dumps(doc)
 
 
@@ -324,7 +334,7 @@ def _corrupt(doc, case):
 @pytest.mark.parametrize(
     "case",
     ["not-json", "not-an-object", "missing-key", "flat-vertices", "ragged-cells",
-     "face-not-an-object", "repeated-face"],
+     "face-not-an-object", "repeated-face", "non-integral-cell", "non-integral-face"],
 )
 def test_malformed_mesh_document_exits_4(tmp_path, capsys, disk_document, command, case):
     mesh_path = tmp_path / "mesh.json"
@@ -360,3 +370,163 @@ def test_certify_validates_its_mesh(tmp_path, capsys, disk_document):
     assert code == 4
     assert "facet" in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("command", ["certify", "spectrum"])
+def test_non_integral_index_names_the_fault(tmp_path, capsys, disk_document, command):
+    mesh_path = tmp_path / "mesh.json"
+    mesh_path.write_text(_corrupt(disk_document, "non-integral-cell"))
+    code = run([command, "--mesh", str(mesh_path), *MESH_COMMANDS[command]])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "non-integral vertex index" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+# -- parameters the library rejects ---------------------------------------------
+
+
+def run_clean(args, capsys, out=None):
+    """Exit code of one CLI run, checking that it printed no traceback."""
+    code = run(args + (["--out", str(out)] if out else []))
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    return code, captured.err
+
+
+@pytest.mark.parametrize("command", ["certify", "index"])
+def test_negative_seed_exits_2(tmp_path, capsys, disk_document, command):
+    mesh_path = tmp_path / "mesh.json"
+    mesh_path.write_text(json.dumps(disk_document))
+    out = tmp_path / "report.json"
+    code, err = run_clean(
+        [command, "--mesh", str(mesh_path), *MESH_COMMANDS[command], "--seed", "-1"], capsys, out
+    )
+    assert code == 2
+    assert "seed must be non-negative" in err
+    assert not out.exists()
+
+
+def test_library_rejects_negative_seed(disk_document):
+    mesh = EmbeddedMesh.from_document(disk_document)
+    calls = [
+        lambda: certify_sigma_k(mesh, 1, ConstantsConfig(), i_sigma=2, seed=-1),
+        lambda: estimate_index(mesh, samples=10, seed=-1),
+        lambda: concentration_audit(mesh, 2, trials=10, seed=-1),
+    ]
+    for call in calls:
+        with pytest.raises(UsageError, match="seed"):
+            call()
+
+
+BOUNDS_ARGS = ["bounds", "--n", "2", "--m", "2", "--volume-m", "3.14", "--volume-sigma", "6.28",
+               "--i-m", "1", "--i-sigma", "2"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_certify_non_finite_d_ball_exits_2(tmp_path, capsys, disk_document, value):
+    mesh_path = tmp_path / "mesh.json"
+    mesh_path.write_text(json.dumps(disk_document))
+    out = tmp_path / "report.json"
+    code, err = run_clean(["certify", "--mesh", str(mesh_path), "--k", "1", "--i-sigma", "2",
+                           f"--d-ball={value}"], capsys, out)
+    assert code == 2
+    assert "d_ball" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, needle",
+    [
+        (["--volume-m=nan"], "volume_m"),
+        (["--volume-sigma=inf"], "volume_sigma"),
+        (["--r0=nan", "--bound", "both"], "r_0"),
+        (["--d-ball=inf"], "d_ball"),
+        (["--sigma-k=nan"], "sigma_k"),
+        (["--covering", str(10**400)], "c_cover"),
+        (["--k", str(10**400)], "2^53"),
+    ],
+)
+def test_bounds_non_finite_or_overflowing_parameter_exits_2(tmp_path, capsys, args, needle):
+    out = tmp_path / "report.json"
+    code, err = run_clean(BOUNDS_ARGS + args, capsys, out)
+    assert code == 2
+    assert needle in err
+    assert not out.exists()
+
+
+def test_certify_overflowing_covering_exits_2(tmp_path, capsys, disk_document):
+    mesh_path = tmp_path / "mesh.json"
+    mesh_path.write_text(json.dumps(disk_document))
+    code, err = run_clean(["certify", "--mesh", str(mesh_path), "--k", "1", "--i-sigma", "2",
+                           "--covering", str(10**400)], capsys)
+    assert code == 2
+    assert "c_cover" in err
+
+
+@pytest.mark.parametrize(
+    "args", [["--volume-sigma", "1e-200"], ["--volume-m", "1e308"], ["--m", "1000000"]]
+)
+def test_bounds_beyond_double_precision_exit_3(tmp_path, capsys, args):
+    out = tmp_path / "report.json"
+    code, err = run_clean(BOUNDS_ARGS + args, capsys, out)
+    assert code == 3
+    assert "numerical failure" in err
+    assert not out.exists()
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in a report")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# one or two parameters take an extreme value, the rest a valid one
+_EXTREMES = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-200", "1e308", "1000000",
+             str(2**53 + 1), str(10**400)]
+_VALID = {
+    "--volume-m": st.floats(1e-3, 1e3).map(repr),
+    "--volume-sigma": st.floats(1e-3, 1e3).map(repr),
+    "--i-m": st.integers(1, 12).map(str),
+    "--i-sigma": st.integers(1, 12).map(str),
+    "--k": st.integers(1, 50).map(str),
+    "--r0": st.floats(1e-2, 10.0).map(repr),
+    "--sigma-k": st.floats(0.0, 100.0).map(repr),
+    "--d-ball": st.floats(1e-3, 10.0).map(repr),
+    "--covering": st.one_of(st.just("literal"), st.integers(1, 64).map(str)),
+}
+
+
+@st.composite
+def bounds_argv(draw):
+    n = draw(st.integers(2, 4))
+    options = {"--n": str(n), "--m": str(n + draw(st.integers(0, 2)))}
+    for name, values in _VALID.items():
+        if name in ("--r0", "--sigma-k", "--d-ball") and not draw(st.booleans()):
+            continue
+        options[name] = draw(values)
+    broken = draw(st.lists(st.sampled_from(sorted(options)), max_size=2, unique=True))
+    for name in broken:
+        options[name] = draw(st.sampled_from(_EXTREMES))
+    argv = ["bounds", *(f"{k}={v}" for k, v in options.items())]
+    argv += ["--bound", draw(st.sampled_from(["volume", "injectivity", "both"]))]
+    return argv + (["--check-identity"] if draw(st.booleans()) else [])
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=bounds_argv())
+def test_bounds_parameters_never_escape(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the text of an option
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        _strict_json(captured.out)

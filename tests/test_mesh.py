@@ -218,6 +218,26 @@ def test_document_version_guard(tmp_path, disk_mesh_coarse):
         EmbeddedMesh.load(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("cell", 1.9), ("cell", 0.5), ("cell", math.nan), ("cell", 1e30), ("face", 2.5)],
+)
+def test_document_rejects_non_integral_index(disk_mesh_coarse, field, value):
+    doc = disk_mesh_coarse.to_document()
+    if field == "cell":
+        doc["cells"][0][1] = value
+    else:
+        doc["boundary_faces"][0]["indices"][1] = value
+    with pytest.raises(MeshError, match="non-integral"):
+        EmbeddedMesh.from_document(doc)
+
+
+def test_document_accepts_integral_floats(disk_mesh_coarse):
+    doc = disk_mesh_coarse.to_document()
+    doc["cells"] = [[float(v) for v in cell] for cell in doc["cells"]]
+    assert np.array_equal(EmbeddedMesh.from_document(doc).cells, disk_mesh_coarse.cells)
+
+
 def test_submesh_inherits_tags(annulus_mesh):
     centroids = annulus_mesh.vertices[annulus_mesh.cells].mean(axis=1)
     keep = np.linalg.norm(centroids, axis=1) < 1.5

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from steklab import packing
 from steklab.errors import HypothesisViolation, PreconditionError, ResolutionError, UsageError
 from steklab.families import FamilyDescriptor, generate_mesh
 from steklab.packing import (
@@ -15,6 +17,7 @@ from steklab.packing import (
     empirical_covering_constant,
     max_ball_measure,
     literal_covering_constant,
+    resolve_covering_constant,
 )
 from steklab.spectral import assemble_operators, cell_gradient_norms
 
@@ -172,3 +175,117 @@ def test_config_validation():
         ConstantsConfig(d_ball=-1.0)
     with pytest.raises(UsageError):
         ConstantsConfig(c_cover=0)
+
+
+@pytest.mark.parametrize("d_ball", [math.nan, math.inf, -math.inf, 0.0])
+def test_config_rejects_non_finite_d_ball(d_ball):
+    with pytest.raises(UsageError, match="d_ball"):
+        ConstantsConfig(d_ball=d_ball)
+
+
+@pytest.mark.parametrize("c_cover", [2**53 + 1, 10**400])
+def test_config_rejects_covering_beyond_double_precision(c_cover):
+    with pytest.raises(UsageError, match="c_cover"):
+        ConstantsConfig(c_cover=c_cover)
+    assert ConstantsConfig(c_cover=2**53).c_cover == 2**53
+
+
+# -- the certificate kernels against their direct forms ---------------------------
+
+
+def reference_covering_constant(positions, r, samples=1000, seed=0):
+    """The covering search with each ball taken from distances to every atom."""
+    rng = np.random.default_rng(seed)
+    count = len(positions)
+    if count <= samples:
+        centers = np.arange(count)
+    else:
+        centers = rng.choice(count, size=samples, replace=False)
+    worst = 1
+    for i in centers:
+        d = np.linalg.norm(positions - positions[i], axis=1)
+        ball = positions[d <= r]
+        pair = cdist(ball, ball) <= r / 2.0
+        remaining = np.ones(len(ball), dtype=bool)
+        used = 0
+        while remaining.any():
+            gains = (pair & remaining[None, :]).sum(axis=1)
+            j = int(np.argmax(gains))
+            remaining &= ~pair[j]
+            used += 1
+        worst = max(worst, used)
+    return worst
+
+
+def reference_distance_to_set(vertices, set_positions):
+    """Distance from every vertex to the set, measured against every atom."""
+    out = np.empty(len(vertices))
+    for start in range(0, len(vertices), 4096):
+        out[start : start + 4096] = cdist(vertices[start : start + 4096], set_positions).min(axis=1)
+    return out
+
+
+@pytest.mark.parametrize(
+    "dim, count, r, samples",
+    [
+        (2, 1500, 1e-4, 1000),  # below the spacing: singleton balls
+        (2, 1500, 0.05, 1000),
+        (2, 1500, 0.12, 1000),
+        (3, 1200, 0.15, 1000),
+        (3, 1200, 0.3, 300),
+        (2, 200, 3.0, 200),  # every ball is the whole cloud
+        (3, 150, 3.0, 150),
+    ],
+)
+def test_covering_constant_matches_direct_balls(dim, count, r, samples):
+    positions = np.random.default_rng(dim * 1000 + count).random((count, dim))
+    for seed in (0, 11):
+        expected = reference_covering_constant(positions, r, samples=samples, seed=seed)
+        assert empirical_covering_constant(positions, r, samples=samples, seed=seed) == expected
+
+
+def test_certificate_payload_matches_direct_kernels(certified_disk, monkeypatch):
+    mesh, cert = certified_disk
+    monkeypatch.setattr(packing, "empirical_covering_constant", reference_covering_constant)
+    monkeypatch.setattr(
+        packing, "_distance_to_set", lambda tree, pos, r: reference_distance_to_set(mesh.vertices, pos)
+    )
+    direct = certify_sigma_k(
+        mesh, 1, ConstantsConfig(use_empirical=True), i_sigma=2, fem_sigma_k=cert.sigma_k_fem
+    )
+    assert direct.to_payload() == cert.to_payload()
+    for got, want in zip(cert.test_vectors, direct.test_vectors):
+        assert np.array_equal(got, want)
+    # the slack taken one selected function at a time
+    slack = 0.0
+    for v in direct.test_vectors:
+        slack = max(slack, float(cell_gradient_norms(mesh, v).max()) * direct.r)
+    assert cert.lipschitz_slack == slack
+
+
+def _probe_radii(measure, k, i_sigma, c_last):
+    floor = 12.0 * measure.spacing
+    n = measure.positions.shape[1]
+    return [max(choose_radius(measure.total, i_sigma, k, n, c), floor) for c in range(2, c_last + 1)]
+
+
+@pytest.mark.parametrize("graded_disk", [True, False])
+def test_covering_search_measures_each_probe_radius_once(graded_disk, monkeypatch, certified_disk):
+    if graded_disk:  # every probe sits on the spacing floor
+        measure = boundary_measure(certified_disk[0])
+    else:  # a long circle: the first probe lies above the floor, the next on it
+        measure = uniform_circle_measure(3000)
+    calls = []
+
+    def counted(positions, r, samples=1000, seed=0):
+        calls.append(r)
+        return empirical_covering_constant(positions, r, samples=samples, seed=seed)
+
+    monkeypatch.setattr(packing, "empirical_covering_constant", counted)
+    c, _ = resolve_covering_constant(measure, ConstantsConfig(), 2, 1, 1, 2, seed=3)
+    probes = _probe_radii(measure, 1, 1, c)
+    assert calls == list(dict.fromkeys(probes))
+    if graded_disk:  # C = 2 and C = 3 probe the same radius: one measurement
+        assert len(probes) == 2 and len(calls) == 1
+    else:
+        assert len(calls) == len(probes) == 2

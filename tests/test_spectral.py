@@ -281,6 +281,19 @@ def test_cell_gradient_norms_of_linear_function(disk_mesh_coarse):
     assert np.allclose(grads, math.sqrt(5.0), rtol=1e-10)
 
 
+@pytest.mark.parametrize("mesh_name", ["disk_mesh_coarse", "product_mesh"])
+def test_cell_gradient_norms_match_full_pass_on_small_support(request, mesh_name):
+    mesh = request.getfixturevalue(mesh_name)
+    centre = mesh.vertices[len(mesh.vertices) // 3]
+    v = np.maximum(0.0, 1.0 - np.linalg.norm(mesh.vertices - centre, axis=1) / 0.4)
+    # every cell measured, as before the pass skipped the cells where v vanishes
+    ginv, _ = spectral._cell_geometry(mesh)
+    dv = np.einsum("ai,ci->ca", spectral._shape_derivatives(mesh.intrinsic_dim), v[mesh.cells])
+    full = np.sqrt(np.maximum(np.einsum("ca,cab,cb->c", dv, ginv, dv), 0.0))
+    assert 0 < np.count_nonzero(full) < len(full)
+    assert np.array_equal(cell_gradient_norms(mesh, v), full)
+
+
 def test_spectra_match_tolerances():
     assert spectra_match([0.0, 1.001, 1.002], [0.0, 1.0, 1.0], rtol=1e-2)
     assert not spectra_match([0.0, 1.2], [0.0, 1.0], rtol=1e-2)
