@@ -73,10 +73,10 @@ class FamilyDescriptor:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UsageError(f"unknown family kind {self.kind!r}")
-        if not self.h or self.h <= 0:
-            raise UsageError("h must be positive")
-        if self.h_boundary is not None and self.h_boundary <= 0:
-            raise UsageError("h_boundary must be positive")
+        if not self.h or not 0 < self.h < math.inf:
+            raise UsageError("h must be positive and finite")
+        if self.h_boundary is not None and not 0 < self.h_boundary < math.inf:
+            raise UsageError("h_boundary must be positive and finite")
         need = {
             "ball-flat": ("delta",),
             "annulus-flat": ("eps", "delta"),
@@ -88,8 +88,8 @@ class FamilyDescriptor:
         }[self.kind]
         for name in need:
             value = getattr(self, name)
-            if value is None or value <= 0:
-                raise UsageError(f"{self.kind} requires positive {name}")
+            if value is None or not 0 < value < math.inf:
+                raise UsageError(f"{self.kind} requires positive finite {name}")
         if self.eps is not None and self.delta is not None and not self.eps < self.delta:
             raise UsageError("need 0 < eps < delta")
         if self.kind in ("ball-flat", "annulus-flat", "sphere-boundary") and self.n not in (2, 3):

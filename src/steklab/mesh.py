@@ -6,14 +6,15 @@ n-tuples carrying a "steklov" or "neumann" tag.  All facet combinatorics
 (boundary extraction, validation, submesh tags) go through one facet table,
 and the volumes of simplices of any codimension through one batched
 Gram-determinant kernel, so meshes of curves, surfaces and solids share a
-code path.  A mesh validates itself when it is constructed.
+code path.  A mesh validates itself on construction and is immutable after.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -40,6 +41,11 @@ def simplex_grams(vertices: np.ndarray, simplices: np.ndarray) -> tuple[np.ndarr
     gram = np.einsum("cik,cjk->cij", edges, edges)
     det = np.linalg.det(gram)
     return gram, np.sqrt(np.where(det > 0.0, det, 0.0)) / math.factorial(simplices.shape[1] - 1)
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def simplex_volume(points) -> float:
@@ -103,7 +109,7 @@ def _index_array(rows) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EmbeddedMesh:
     """Simplicial n-dimensional mesh with vertices in R^m and tagged boundary.
 
@@ -112,6 +118,8 @@ class EmbeddedMesh:
     boundary_faces : (F, n) int array of (n-1)-simplices on the boundary
     face_tags : length-F sequence of "steklov" / "neumann"
     metadata : free-form, JSON-serializable (family parameters, seam rings, ...)
+
+    Immutable: the arrays are read-only once validated, and derived values are kept.
     """
 
     vertices: np.ndarray
@@ -119,21 +127,34 @@ class EmbeddedMesh:
     boundary_faces: np.ndarray
     face_tags: np.ndarray
     metadata: dict = field(default_factory=dict)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        self.cells = np.asarray(self.cells, dtype=np.int64)
-        self.boundary_faces = np.asarray(self.boundary_faces, dtype=np.int64)
-        self.face_tags = np.asarray(self.face_tags, dtype=object)
+        put = partial(object.__setattr__, self)
+        for name, dtype in [("vertices", float), ("cells", np.int64),
+                            ("boundary_faces", np.int64), ("face_tags", object)]:
+            given = getattr(self, name)
+            array = np.asarray(given, dtype=dtype)
+            # freezing below must not reach into a buffer the caller can still write
+            shared = array.flags.writeable and (array is given or array.base is not None)
+            put(name, array.copy() if shared else array)
         if self.vertices.ndim != 2:
             raise MeshError("vertices must be an (N, m) array")
         if self.cells.ndim != 2:
             raise MeshError("cells must be a (C, n+1) array")
         if self.boundary_faces.size == 0:
-            self.boundary_faces = self.boundary_faces.reshape(0, max(self.intrinsic_dim, 1))
+            put("boundary_faces", self.boundary_faces.reshape(0, max(self.intrinsic_dim, 1)))
         if len(self.face_tags) != len(self.boundary_faces):
             raise MeshError("face_tags and boundary_faces lengths differ")
         self.validate()
+        for array in (self.vertices, self.cells, self.boundary_faces, self.face_tags):
+            read_only(array)
+
+    def cached(self, key: str, build):
+        """build(mesh), computed on the first request for `key`; callers share it read-only."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
     # -- basic queries ---------------------------------------------------
 
@@ -150,10 +171,12 @@ class EmbeddedMesh:
         return self.vertices.shape[0]
 
     def cell_volumes(self) -> np.ndarray:
-        return simplex_grams(self.vertices, self.cells)[1]
+        return self.cached("cells", lambda m: read_only(simplex_grams(m.vertices, m.cells)[1]))
 
     def face_volumes(self) -> np.ndarray:
-        return simplex_grams(self.vertices, self.boundary_faces)[1]
+        return self.cached(
+            "faces", lambda m: read_only(simplex_grams(m.vertices, m.boundary_faces)[1])
+        )
 
     def volume(self) -> float:
         return float(self.cell_volumes().sum())
@@ -170,7 +193,7 @@ class EmbeddedMesh:
 
     def steklov_vertices(self) -> np.ndarray:
         """Sorted indices of vertices lying on Steklov-tagged faces."""
-        return np.unique(self.steklov_faces())
+        return self.cached("steklov_vertices", lambda m: read_only(np.unique(m.steklov_faces())))
 
     def boundary_vertices(self) -> np.ndarray:
         return np.unique(self.boundary_faces)
@@ -208,10 +231,10 @@ class EmbeddedMesh:
     def validate(self) -> None:
         """Check structural invariants; raise MeshError on the first failure.
 
-        Runs on construction.  Verified: finite coordinates, index ranges,
-        known tags, every facet in at most two cells, the boundary faces
-        listed once each and exactly the facets of one cell, and every cell
-        of positive volume.
+        Runs on construction, and the mesh keeps the cell volumes it measures.
+        Verified: finite coordinates, index ranges, known tags, every facet in
+        at most two cells, the boundary faces listed once each and exactly the
+        facets of one cell, and every cell of positive volume.
         """
         n = self.intrinsic_dim
         if not (1 <= n <= self.ambient_dim):
@@ -256,25 +279,13 @@ class EmbeddedMesh:
         """Homothety by t > 0 about the origin."""
         if t <= 0:
             raise ValueError("scale factor must be positive")
-        return EmbeddedMesh(
-            self.vertices * t,
-            self.cells.copy(),
-            self.boundary_faces.copy(),
-            self.face_tags.copy(),
-            dict(self.metadata),
-        )
+        return replace(self, vertices=self.vertices * t, metadata=dict(self.metadata))
 
     def transformed(self, rotation: np.ndarray, translation: np.ndarray) -> "EmbeddedMesh":
         """Apply the rigid motion x -> Q x + b."""
         q = np.asarray(rotation, dtype=float)
         b = np.asarray(translation, dtype=float)
-        return EmbeddedMesh(
-            self.vertices @ q.T + b,
-            self.cells.copy(),
-            self.boundary_faces.copy(),
-            self.face_tags.copy(),
-            dict(self.metadata),
-        )
+        return replace(self, vertices=self.vertices @ q.T + b, metadata=dict(self.metadata))
 
     def submesh(self, cell_indices) -> "EmbeddedMesh":
         """Restriction to a subset of cells.
@@ -305,13 +316,7 @@ class EmbeddedMesh:
         tags = np.asarray(face_tags, dtype=object)
         if len(tags) != len(self.boundary_faces):
             raise MeshError("tag count mismatch")
-        return EmbeddedMesh(
-            self.vertices.copy(),
-            self.cells.copy(),
-            self.boundary_faces.copy(),
-            tags,
-            dict(self.metadata),
-        )
+        return replace(self, face_tags=tags, metadata=dict(self.metadata))
 
     # -- serialization ---------------------------------------------------
 

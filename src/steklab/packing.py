@@ -35,7 +35,7 @@ from .errors import (
     UsageError,
 )
 from .euclidean import unit_sphere_area
-from .mesh import NEUMANN, EmbeddedMesh
+from .mesh import NEUMANN, EmbeddedMesh, read_only
 from .spectral import (
     KIND_STEKLOV,
     KIND_STEKLOV_NEUMANN,
@@ -47,6 +47,7 @@ from .spectral import (
 )
 
 _CHUNK = 512
+COVERING_SAMPLES = 1000
 
 
 def literal_covering_constant(ambient_dim: int) -> int:
@@ -88,6 +89,8 @@ class BoundaryMeasure:
     vertex_ids: np.ndarray
     positions: np.ndarray
     weights: np.ndarray
+    # (probe radius, samples, seed) -> empirical covering count on these atoms
+    covering_counts: dict = field(default_factory=dict, repr=False)
 
     @property
     def total(self) -> float:
@@ -106,6 +109,11 @@ class BoundaryMeasure:
 
 
 def boundary_measure(mesh: EmbeddedMesh) -> BoundaryMeasure:
+    """The mesh's boundary measure, built once per mesh with read-only arrays."""
+    return mesh.cached("boundary_measure", _boundary_measure)
+
+
+def _boundary_measure(mesh: EmbeddedMesh) -> BoundaryMeasure:
     faces = mesh.steklov_faces()
     if faces.size == 0:
         raise UsageError("mesh has no steklov faces")
@@ -114,7 +122,7 @@ def boundary_measure(mesh: EmbeddedMesh) -> BoundaryMeasure:
     weights = np.zeros(mesh.n_vertices)
     np.add.at(weights, faces.ravel(), np.repeat(share, faces.shape[1]))
     ids = np.nonzero(weights > 0)[0]
-    return BoundaryMeasure(ids, mesh.vertices[ids], weights[ids])
+    return BoundaryMeasure(*map(read_only, (ids, mesh.vertices[ids], weights[ids])))
 
 
 def choose_radius(
@@ -144,7 +152,7 @@ def max_ball_measure(measure: BoundaryMeasure, r: float) -> float:
 
 
 def empirical_covering_constant(
-    positions: np.ndarray, r: float, samples: int = 1000, seed: int = 0
+    positions: np.ndarray, r: float, samples: int = COVERING_SAMPLES, seed: int = 0
 ) -> int:
     """Covering count of sampled r-balls of atoms by r/2-balls.
 
@@ -193,7 +201,7 @@ def resolve_covering_constant(
     The empirical constant depends on the radius, which depends back on the
     constant, so the measured value at radius r(C) must not exceed C itself.
     Returns the smallest such admissible C >= 2 together with its radius.
-    Each distinct probe radius is measured once.
+    The measure keeps each count, so a probe radius is measured once per seed.
     """
     if config.c_cover is not None:
         c = int(config.c_cover)
@@ -203,12 +211,13 @@ def resolve_covering_constant(
         # covering counts are only meaningful at scales the atom cloud
         # resolves, so probe at least a dozen atom spacings
         floor = 12.0 * measure.spacing
-        counts = {}
+        counts = measure.covering_counts
         for c in range(2, 65):
             probe = max(choose_radius(measure.total, i_sigma, k, n, c), floor)
-            if probe not in counts:
-                counts[probe] = empirical_covering_constant(measure.positions, probe, seed=seed)
-            if counts[probe] <= c:
+            key = (probe, COVERING_SAMPLES, seed)
+            if key not in counts:
+                counts[key] = empirical_covering_constant(measure.positions, *key)
+            if counts[key] <= c:
                 break
         else:
             raise PreconditionError(
@@ -367,8 +376,8 @@ def certify_sigma_k(
 ) -> PackingCertificate:
     """Build the packing, its test functions, and the certified sigma_k bound.
 
-    operators / fem_sigma_k allow reuse of an assembled (K, B) pair and a
-    precomputed FEM eigenvalue when certifying several k on one mesh.
+    The mesh keeps (K, B), the measure and its covering counts across k; the now
+    redundant `operators` and `fem_sigma_k` stay for the callers that pass them.
     """
     if k < 1:
         raise UsageError("k must be at least 1")
@@ -396,9 +405,7 @@ def certify_sigma_k(
     packing = build_packing(measure, r, 2 * k + 2, c_cover)
 
     vecs, quotients, owners = [], [], np.full(mesh.n_vertices, -1, dtype=np.int64)
-    if operators is None:
-        operators = assemble_operators(mesh)
-    stiffness, mass = operators
+    stiffness, mass = operators or assemble_operators(mesh)
     tree = cKDTree(mesh.vertices)
     for i, members in enumerate(packing.sets):
         dist = _distance_to_set(tree, measure.positions[members], r)

@@ -15,6 +15,7 @@ from a dense eigensolve of that inverted block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,7 +26,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 from scipy.sparse.linalg import norm as spnorm
 
 from .errors import NumericalError, UsageError
-from .mesh import NEUMANN, STEKLOV, EmbeddedMesh, simplex_grams
+from .mesh import NEUMANN, STEKLOV, EmbeddedMesh, read_only, simplex_grams
 
 KIND_STEKLOV = "steklov"
 KIND_STEKLOV_NEUMANN = "steklov-neumann"
@@ -43,8 +44,8 @@ class SpectralProblem:
             raise UsageError(f"unknown problem kind {self.kind!r}")
         if self.k_max < 1:
             raise UsageError("k_max must be at least 1")
-        if self.tolerance <= 0:
-            raise UsageError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise UsageError("tolerance must be positive and finite")
         tags = set(self.mesh.face_tags)
         if self.kind == KIND_STEKLOV and NEUMANN in tags:
             raise UsageError("pure Steklov problem posed on a mesh with neumann faces")
@@ -74,12 +75,6 @@ class SpectralResult:
         }
 
 
-def _cell_geometry(mesh: EmbeddedMesh):
-    """Per-cell inverse edge Grams and volumes (cells are nondegenerate once validated)."""
-    gram, vols = simplex_grams(mesh.vertices, mesh.cells)
-    return np.linalg.inv(gram), vols
-
-
 def _shape_derivatives(n: int) -> np.ndarray:
     """Barycentric shape-function derivatives in simplex coordinates, (n, n+1)."""
     mat = np.zeros((n, n + 1))
@@ -89,16 +84,21 @@ def _shape_derivatives(n: int) -> np.ndarray:
 
 
 def assemble_operators(mesh: EmbeddedMesh) -> tuple[csr_matrix, csr_matrix]:
-    """Stiffness and Steklov boundary mass on all mesh vertices.
+    """Stiffness and Steklov boundary mass on all mesh vertices, assembled once per mesh.
 
     K is PSD with the constants in its kernel on a connected mesh; B is PSD
-    and supported exactly on the Steklov-boundary vertices.
+    and supported exactly on the Steklov-boundary vertices.  Every caller
+    shares the one pair, so its arrays are read-only.
     """
+    return mesh.cached("operators", _assemble)
+
+
+def _assemble(mesh: EmbeddedMesh) -> tuple[csr_matrix, csr_matrix]:
     n = mesh.intrinsic_dim
     nv = mesh.n_vertices
-    ginv, vols = _cell_geometry(mesh)
+    ginv = np.linalg.inv(simplex_grams(mesh.vertices, mesh.cells)[0])  # nondegenerate cells
     shape = _shape_derivatives(n)
-    kloc = np.einsum("ai,cab,bj->cij", shape, ginv, shape) * vols[:, None, None]
+    kloc = np.einsum("ai,cab,bj->cij", shape, ginv, shape) * mesh.cell_volumes()[:, None, None]
     rows = np.repeat(mesh.cells[:, :, None], n + 1, axis=2)
     cols = np.repeat(mesh.cells[:, None, :], n + 1, axis=1)
     stiffness = coo_matrix(
@@ -107,12 +107,15 @@ def assemble_operators(mesh: EmbeddedMesh) -> tuple[csr_matrix, csr_matrix]:
 
     faces = mesh.steklov_faces()
     d = n - 1
-    _, fvols = simplex_grams(mesh.vertices, faces)
+    fvols = mesh.face_volumes()[mesh.steklov_mask()]
     template = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
     mloc = fvols[:, None, None] * template[None, :, :]
     rows = np.repeat(faces[:, :, None], d + 1, axis=2)
     cols = np.repeat(faces[:, None, :], d + 1, axis=1)
     mass = coo_matrix((mloc.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)).tocsr()
+    for matrix in (stiffness, mass):
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            read_only(array)
     return stiffness, mass
 
 

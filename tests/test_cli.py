@@ -530,3 +530,26 @@ def test_bounds_parameters_never_escape(capsys, argv):
     assert code in (0, 2, 3, 4)
     if code == 0:
         _strict_json(captured.out)
+
+
+@pytest.mark.parametrize("option", ["--h", "--delta", "--h-boundary"])
+def test_mesh_non_finite_size_exits_2(tmp_path, capsys, option):
+    sizes = {"--h": "0.3", "--delta": "1", option: "nan"}
+    mesh_out = tmp_path / "mesh.json"
+    out = tmp_path / "report.json"
+    argv = ["mesh", "--family", "disk", "--n", "2", "--mesh-out", str(mesh_out)]
+    code, err = run_clean(argv + [f"{k}={v}" for k, v in sizes.items()], capsys, out)
+    assert code == 2
+    assert "finite" in err
+    assert not out.exists() and not mesh_out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_spectrum_non_finite_tolerance_exits_2(tmp_path, capsys, disk_document, value):
+    mesh_path = tmp_path / "mesh.json"
+    mesh_path.write_text(json.dumps(disk_document))
+    out = tmp_path / "report.json"
+    code, err = run_clean(["spectrum", "--mesh", str(mesh_path), f"--tol={value}"], capsys, out)
+    assert code == 2
+    assert "tolerance must be positive and finite" in err
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -27,12 +28,15 @@ def cayley_menger_volume(points):
     return math.sqrt(abs(coeff * det))
 
 
-def single_triangle_mesh():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    cells = np.array([[0, 1, 2]])
-    faces = np.array([[0, 1], [1, 2], [0, 2]])
-    tags = np.array([STEKLOV] * 3, dtype=object)
-    return EmbeddedMesh(verts, cells, faces, tags)
+def single_triangle_mesh(**replace):
+    """The unit right triangle, with any constructor argument replaced."""
+    parts = dict(
+        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        cells=np.array([[0, 1, 2]]),
+        boundary_faces=np.array([[0, 1], [1, 2], [0, 2]]),
+        face_tags=np.array([STEKLOV] * 3, dtype=object),
+    )
+    return EmbeddedMesh(**{**parts, **replace})
 
 
 def test_unit_right_triangle_volume():
@@ -90,11 +94,29 @@ def test_validate_accepts_simple_mesh():
     single_triangle_mesh().validate()
 
 
+def test_mesh_is_frozen_and_leaves_the_callers_arrays_writable():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    cells = np.array([[0, 1, 2]])
+    mesh = single_triangle_mesh(vertices=verts, cells=cells)
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.vertices[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.cell_volumes()[0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        mesh.cells = np.array([[0, 2, 1]])
+    verts[2, 1] = 2.0
+    cells[0, 0] = 2
+    assert mesh.vertices[2, 1] == 1.0 and mesh.cells[0, 0] == 0
+    assert mesh.cell_volumes()[0] == 0.5
+    # derived meshes share the read-only arrays they do not change
+    retagged = mesh.with_tags([NEUMANN, STEKLOV, STEKLOV])
+    assert retagged.vertices is mesh.vertices and retagged.cells is mesh.cells
+    assert mesh.scaled(2.0).cells is mesh.cells
+
+
 def test_validate_rejects_bad_index():
-    mesh = single_triangle_mesh()
-    mesh.cells = np.array([[0, 1, 7]])
     with pytest.raises(MeshError):
-        mesh.validate()
+        single_triangle_mesh(cells=np.array([[0, 1, 7]]))
 
 
 def test_validate_rejects_wrong_boundary():
@@ -132,10 +154,9 @@ def test_validate_rejects_face_of_wrong_width():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_validate_rejects_non_finite_vertex(value):
-    mesh = single_triangle_mesh()
-    mesh.vertices[2, 0] = value
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [value, 1.0]])
     with pytest.raises(MeshError, match="non-finite vertex"):
-        mesh.validate()
+        single_triangle_mesh(vertices=verts)
 
 
 def test_document_roundtrip(tmp_path, annulus_mesh):
@@ -168,10 +189,8 @@ def test_boundary_of_boundary_is_even(annulus_mesh, cylinder_mesh, revolution_me
 
 
 def test_tags_must_be_known():
-    mesh = single_triangle_mesh()
-    mesh.face_tags = np.array(["steklov", "robin", "steklov"], dtype=object)
     with pytest.raises(MeshError, match="tag"):
-        mesh.validate()
+        single_triangle_mesh(face_tags=np.array(["steklov", "robin", "steklov"], dtype=object))
 
 
 def test_steklov_quantities(annulus_mesh):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from steklab import packing
+from steklab import mesh as mesh_module
+from steklab import packing, spectral
 from steklab.errors import HypothesisViolation, PreconditionError, ResolutionError, UsageError
 from steklab.families import FamilyDescriptor, generate_mesh
 from steklab.packing import (
@@ -19,7 +20,8 @@ from steklab.packing import (
     literal_covering_constant,
     resolve_covering_constant,
 )
-from steklab.spectral import assemble_operators, cell_gradient_norms
+from steklab.mesh import EmbeddedMesh, simplex_grams
+from steklab.spectral import SpectralProblem, assemble_operators, cell_gradient_norms, solve_steklov
 
 
 def uniform_circle_measure(count=2000, radius=1.0):
@@ -244,8 +246,14 @@ def test_covering_constant_matches_direct_balls(dim, count, r, samples):
         assert empirical_covering_constant(positions, r, samples=samples, seed=seed) == expected
 
 
+def fresh_copy(mesh):
+    """The same mesh as a new object, so nothing derived from it is cached yet."""
+    return EmbeddedMesh(mesh.vertices, mesh.cells, mesh.boundary_faces, mesh.face_tags)
+
+
 def test_certificate_payload_matches_direct_kernels(certified_disk, monkeypatch):
     mesh, cert = certified_disk
+    mesh = fresh_copy(mesh)  # the measure of the fixture's mesh holds its covering count
     monkeypatch.setattr(packing, "empirical_covering_constant", reference_covering_constant)
     monkeypatch.setattr(
         packing, "_distance_to_set", lambda tree, pos, r: reference_distance_to_set(mesh.vertices, pos)
@@ -272,7 +280,8 @@ def _probe_radii(measure, k, i_sigma, c_last):
 @pytest.mark.parametrize("graded_disk", [True, False])
 def test_covering_search_measures_each_probe_radius_once(graded_disk, monkeypatch, certified_disk):
     if graded_disk:  # every probe sits on the spacing floor
-        measure = boundary_measure(certified_disk[0])
+        kept = boundary_measure(certified_disk[0])  # a fresh measure holds no counts yet
+        measure = BoundaryMeasure(kept.vertex_ids, kept.positions, kept.weights)
     else:  # a long circle: the first probe lies above the floor, the next on it
         measure = uniform_circle_measure(3000)
     calls = []
@@ -289,3 +298,53 @@ def test_covering_search_measures_each_probe_radius_once(graded_disk, monkeypatc
         assert len(probes) == 2 and len(calls) == 1
     else:
         assert len(calls) == len(probes) == 2
+
+
+def test_certifying_several_k_computes_the_mesh_geometry_once(monkeypatch):
+    # a coarse interior graded finely enough at the boundary to certify k = 1, 2, 3
+    mesh = generate_mesh(
+        FamilyDescriptor("ball-flat", h=0.3, n=2, delta=1.0, h_boundary=0.9 / 288)
+    )
+    assembled, gram_sizes, covering_seeds = [], [], []
+    real_assemble = spectral._assemble
+
+    def counted_assemble(m):
+        assembled.append(m)
+        return real_assemble(m)
+
+    def counted_grams(vertices, simplices):
+        gram_sizes.append(simplices.shape)
+        return simplex_grams(vertices, simplices)
+
+    def counted_covering(positions, r, samples=1000, seed=0):
+        covering_seeds.append(seed)
+        return empirical_covering_constant(positions, r, samples=samples, seed=seed)
+
+    monkeypatch.setattr(spectral, "_assemble", counted_assemble)
+    monkeypatch.setattr(spectral, "simplex_grams", counted_grams)
+    monkeypatch.setattr(mesh_module, "simplex_grams", counted_grams)
+    monkeypatch.setattr(packing, "empirical_covering_constant", counted_covering)
+    config = ConstantsConfig(use_empirical=True)
+    fem = solve_steklov(SpectralProblem(mesh, "steklov", k_max=3))
+    for k in (1, 2, 3):
+        certify_sigma_k(mesh, k, config, i_sigma=2, fem_sigma_k=float(fem.eigenvalues[k]))
+    assert assembled == [mesh]
+    # validation measured the cell volumes before counting began; the assembly needs the Grams
+    assert gram_sizes.count(mesh.cells.shape) == 1
+    assert covering_seeds == [0]
+    certify_sigma_k(mesh, 1, config, i_sigma=2, seed=5, fem_sigma_k=float(fem.eigenvalues[1]))
+    assert covering_seeds == [0, 5]
+
+
+def test_certificate_same_with_and_without_reused_operators(certified_disk):
+    mesh, _ = certified_disk
+    config = ConstantsConfig(use_empirical=True)
+    fem = solve_steklov(SpectralProblem(mesh, "steklov", k_max=1))
+    reused = certify_sigma_k(
+        mesh, 1, config, i_sigma=2, operators=assemble_operators(mesh),
+        fem_sigma_k=float(fem.eigenvalues[1]),
+    )
+    alone = certify_sigma_k(fresh_copy(mesh), 1, config, i_sigma=2)
+    assert alone.to_payload() == reused.to_payload()
+    for got, want in zip(alone.test_vectors, reused.test_vectors):
+        assert np.array_equal(got, want)

@@ -9,7 +9,7 @@ from steklab import spectral
 from steklab.closed_forms import cylinder_steklov_spectrum, disk_steklov_spectrum
 from steklab.errors import NumericalError, UsageError
 from steklab.families import FamilyDescriptor, generate_mesh
-from steklab.mesh import NEUMANN, STEKLOV, EmbeddedMesh
+from steklab.mesh import NEUMANN, STEKLOV, EmbeddedMesh, simplex_grams
 from steklab.spectral import (
     SpectralProblem,
     assemble_operators,
@@ -51,6 +51,15 @@ def test_stiffness_rows_sum_to_zero():
     stiffness, mass = assemble_operators(mesh)
     assert np.allclose(stiffness @ np.ones(3), 0.0, atol=1e-14)
     assert mass.toarray().sum() == pytest.approx(1 + math.sqrt(2) + 1, rel=1e-12)
+
+
+def test_operators_assembled_once_per_mesh_and_read_only(disk_mesh_coarse):
+    stiffness, mass = assemble_operators(disk_mesh_coarse)
+    again = assemble_operators(disk_mesh_coarse)
+    assert again[0] is stiffness and again[1] is mass
+    for matrix in (stiffness, mass):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.data[0] = 0.0
 
 
 def test_stiffness_positive_semidefinite(disk_mesh_coarse):
@@ -287,7 +296,7 @@ def test_cell_gradient_norms_match_full_pass_on_small_support(request, mesh_name
     centre = mesh.vertices[len(mesh.vertices) // 3]
     v = np.maximum(0.0, 1.0 - np.linalg.norm(mesh.vertices - centre, axis=1) / 0.4)
     # every cell measured, as before the pass skipped the cells where v vanishes
-    ginv, _ = spectral._cell_geometry(mesh)
+    ginv = np.linalg.inv(simplex_grams(mesh.vertices, mesh.cells)[0])
     dv = np.einsum("ai,ci->ca", spectral._shape_derivatives(mesh.intrinsic_dim), v[mesh.cells])
     full = np.sqrt(np.maximum(np.einsum("ca,cab,cb->c", dv, ginv, dv), 0.0))
     assert 0 < np.count_nonzero(full) < len(full)
