@@ -34,7 +34,7 @@ from .closed_forms import (
     separated_mode_sn_eigenvalue,
     sphere_laplace_spectrum,
 )
-from .errors import NumericalError, UsageError
+from .errors import SIZE_BUDGET, NumericalError, UsageError, check
 from .euclidean import unit_ball_volume, unit_sphere_area
 from .packing import ConstantsConfig, literal_covering_constant
 
@@ -78,8 +78,8 @@ def constants(
     `covering` overrides the covering constant (an empirical value measured
     on a mesh); otherwise config.c_cover, falling back to 32^m.
     """
-    if not 2 <= n <= m:
-        raise UsageError("need 2 <= n <= m")
+    check("n", n, 2, integer=True)
+    check("m", m, n, integer=True)
     config = config or ConstantsConfig(use_empirical=False)
     if covering is None:
         if config.c_cover is not None:
@@ -123,19 +123,13 @@ class BoundInputs:
     covering: Optional[float] = None
 
     def __post_init__(self):
-        if not 2 <= self.n <= self.m:
-            raise UsageError("need 2 <= n <= m")
-        if min(self.i_m, self.i_sigma) < 1:
-            raise UsageError("intersection indices must be positive integers")
-        if self.k < 1:
-            raise UsageError("k must be at least 1")
-        # every integer enters the bounds as a double, so it must be an exact one
-        if max(self.m, self.i_m, self.i_sigma, self.k) > 2**53:
-            raise UsageError("m, the intersection indices and k must not exceed 2^53")
+        check("n", self.n, 2, integer=True)
+        check("m", self.m, self.n, integer=True)
+        for name in ("i_m", "i_sigma", "k"):
+            check(name, getattr(self, name), 1, integer=True)
         for name in ("volume_m", "volume_sigma", "r_0", "covering"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise UsageError(f"{name} must be positive and finite")
+            if getattr(self, name) is not None:
+                check(name, getattr(self, name), 0, strict=True)
 
     def constants(self) -> BoundConstants:
         return constants(self.n, self.m, self.config, self.covering)
@@ -235,8 +229,8 @@ def evaluate_bounds(
 
     NumericalError when a bound is not representable in double precision.
     """
-    if sigma_k is not None and not math.isfinite(sigma_k):
-        raise UsageError("sigma_k must be finite")
+    if sigma_k is not None:
+        check("sigma_k", sigma_k)
     try:
         vol_rhs = volume_bound(inputs)
         inj_rhs, k0 = injectivity_bound(inputs) if inputs.r_0 is not None else (None, None)
@@ -303,16 +297,12 @@ def fit_asymptotics(
     values = np.asarray(eigenvalues, dtype=float)
     if k_hi is None:
         k_hi = len(values) - 1
-    if k_lo < 5:
-        raise UsageError("k_lo must be at least 5 (small k are dominated by the O(1) term)")
-    if k_hi >= len(values):
-        raise UsageError(f"k_hi = {k_hi} exceeds the available eigenvalue count")
-    if k_hi <= k_lo:
-        raise UsageError("need k_hi > k_lo")
+    check("k_lo", k_lo, 5, integer=True)  # small k are dominated by the O(1) term
+    check("k_hi", k_hi, k_lo + 1, len(values) - 1, integer=True)
     ks = np.arange(k_lo, k_hi + 1)
     sig = values[k_lo : k_hi + 1]
-    if np.any(sig <= 0):
-        raise UsageError("nonpositive eigenvalues inside the fit window")
+    if not np.all(sig > 0):
+        raise UsageError("nonpositive or NaN eigenvalues inside the fit window")
     slope, intercept = np.polyfit(np.log(ks), np.log(sig), 1)
     e = n - 1
     ref_coeff = 2.0 * math.pi / (unit_ball_volume(n - 1) * volume_sigma) ** (1.0 / e)
@@ -364,14 +354,14 @@ def blowup_experiment(
     minimum, the reference floor C/eps, and the closed-form degree-1 radial
     value with its explicit lower bound (n-1)(2^n - 1)/((n-1+2^n) eps).
     """
-    if n < 3:
-        raise UsageError("the blow-up family needs n >= 3")
     chat = blowup_constant(n)
+    check("max_sphere_degree", max_sphere_degree, 0, integer=True)
+    check("max_circle_mode", max_circle_mode, 0, integer=True)
+    check("the mode grid", (max_sphere_degree + 2) * (max_circle_mode + 2), high=SIZE_BUDGET)
     omega = unit_ball_volume(n)
     rows = []
     for eps in epsilons:
-        if not 0 < eps < 1:
-            raise UsageError("each eps must lie in (0, 1)")
+        check("each eps", eps, 0, 1, strict=True)
         delta = 2.0 / eps
         circle_r = eps ** (1 - n) / (2.0 * math.pi * n * omega)
         best = math.inf
@@ -446,13 +436,11 @@ def obstruction_experiment(
     experiment evaluates sigma_2k exactly, fits the empirical exponent of
     sigma_2k |M|^(-beta) in k, and checks it against (1 + beta)/(n - 1).
     """
-    if n < 2:
-        raise UsageError("need n >= 2")
-    if beta < 0:
-        raise UsageError("beta must be nonnegative")
-    ks = sorted(set(int(k) for k in k_values))
-    if not ks or ks[0] < 1:
-        raise UsageError("k values must be positive")
+    check("n", n, 2, integer=True)
+    check("beta", beta, 0)
+    # the last k first, so that a long range fails before it is expanded
+    check("each k", k_values[-1] if k_values else 0, 1, SIZE_BUDGET, integer=True)
+    ks = sorted({int(check("each k", k, 1, SIZE_BUDGET, integer=True)) for k in k_values})
     cross_section = unit_sphere_area(n - 1)
     rows = []
     for k in ks:

@@ -5,8 +5,8 @@ Every run emits a JSON report (stdout or --out) echoing all parameters,
 and experiment tables additionally serialize to CSV with the fixed header
 k, epsilon, value, bound, satisfied.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure,
-4 precondition / hypothesis failure.
+Exit codes: 0 success, 2 usage error, 3 numerical failure (including an
+arithmetic overflow), 4 precondition / hypothesis failure.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ _FAMILY_ALIASES = {
 }
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _number_list(text: str, kind=float) -> list:
+    try:
+        return [kind(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise UsageError(f"{text!r} is not a comma-separated list of numbers") from None
 
 
 def _covering_config(args) -> packing.ConstantsConfig:
@@ -139,7 +138,7 @@ def _cmd_oracle(args) -> int:
         payload = {"eigenvalue": value}
     elif name == "cylinder":
         if args.lambdas:
-            lams = _float_list(args.lambdas)
+            lams = _number_list(args.lambdas)
         else:
             pairs = closed_forms.sphere_laplace_spectrum(
                 args.n, args.radius, args.max_degree
@@ -169,7 +168,7 @@ def _cmd_index(args) -> int:
     mesh = EmbeddedMesh.load(args.mesh)
     degree_bound = None
     if args.degrees:
-        degree_bound = intersection.degree_upper_bound([_int_list(d) for d in args.degrees])
+        degree_bound = intersection.degree_upper_bound([_number_list(d, int) for d in args.degrees])
     timer = StageTimer()
     with timer.stage("sample"):
         estimate = intersection.estimate_index(
@@ -252,7 +251,7 @@ def _cmd_experiment(args) -> int:
         with timer.stage("sweep"):
             table = bounds_mod.blowup_experiment(
                 args.n,
-                _float_list(args.eps),
+                _number_list(args.eps),
                 max_sphere_degree=args.max_degree,
                 max_circle_mode=args.max_circle_mode,
                 resolution=args.resolution,
@@ -447,7 +446,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:  # or an overflow no check anticipated
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (PreconditionError, MeshError) as exc:

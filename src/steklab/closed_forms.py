@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .errors import TruncationError, UsageError
+from .errors import SIZE_BUDGET, NumericalError, TruncationError, UsageError, check
 from .euclidean import unit_ball_volume
 
 # 4-point Gauss-Legendre rule on [0, 1]
@@ -36,12 +36,10 @@ def annulus_sn_eigenvalue(n: int, eps: float, delta: float, mode: int) -> float:
 
     and sigma(0) = 0 (constants).
     """
-    if n < 2:
-        raise UsageError("annulus modes need n >= 2")
-    if not 0 < eps < delta:
-        raise UsageError("need 0 < eps < delta")
-    if mode < 0:
-        raise UsageError("mode must be nonnegative")
+    check("n", n, 2, integer=True)
+    check("delta", delta, 0, strict=True)
+    check("eps", eps, 0, delta, strict=True)
+    check("mode", mode, 0, integer=True)
     if mode == 0:
         return 0.0
     k = mode
@@ -58,12 +56,9 @@ def sphere_laplace_spectrum(n: int, radius: float, max_degree: int) -> list[tupl
     n = 2 the sphere is a circle: eigenvalues k^2/radius^2, multiplicity two
     for k >= 1.
     """
-    if n < 2:
-        raise UsageError("need n >= 2")
-    if radius <= 0:
-        raise UsageError("radius must be positive")
-    if max_degree < 0:
-        raise UsageError("max_degree must be nonnegative")
+    check("n", n, 2, integer=True)
+    check("radius", radius, 0, strict=True)
+    check("max_degree", max_degree, 0, SIZE_BUDGET, integer=True)
     out = []
     for k in range(max_degree + 1):
         value = k * (k + n - 2) / radius**2
@@ -83,10 +78,9 @@ def sphere_laplace_spectrum(n: int, radius: float, max_degree: int) -> list[tupl
 
 
 def expand_multiplicities(pairs) -> list[float]:
-    values = []
-    for value, mult in pairs:
-        values.extend([value] * mult)
-    return values
+    pairs = list(pairs)
+    check("the multiplicity total", sum(mult for _, mult in pairs), high=SIZE_BUDGET, integer=True)
+    return [value for value, mult in pairs for _ in range(mult)]
 
 
 def cylinder_steklov_spectrum(lambdas, length: float, count: int) -> list[float]:
@@ -99,11 +93,9 @@ def cylinder_steklov_spectrum(lambdas, length: float, count: int) -> list[float]
     positive Laplace eigenvalue l.  Raises TruncationError when the supplied
     lambdas cannot certify the requested prefix complete.
     """
-    lam = [float(v) for v in lambdas]
-    if count < 1:
-        raise UsageError("count must be at least 1")
-    if length <= 0:
-        raise UsageError("length must be positive")
+    lam = [float(check("each Laplace eigenvalue", v, 0)) for v in lambdas]
+    check("count", count, 1, SIZE_BUDGET, integer=True)
+    check("length", length, 0, strict=True)
     if not lam or lam[0] != 0.0:
         raise UsageError("the Laplace spectrum must start at 0")
     if any(b < a for a, b in zip(lam, lam[1:])):
@@ -136,10 +128,8 @@ def cylinder_steklov_spectrum(lambdas, length: float, count: int) -> list[float]
 
 def disk_steklov_spectrum(radius: float, count: int) -> list[float]:
     """Steklov spectrum of the round disk: 0, then k/radius twice for k >= 1."""
-    if radius <= 0:
-        raise UsageError("radius must be positive")
-    if count < 1:
-        raise UsageError("count must be at least 1")
+    check("radius", radius, 0, strict=True)
+    check("count", count, 1, SIZE_BUDGET, integer=True)
     values = [0.0]
     k = 1
     while len(values) < count:
@@ -154,8 +144,7 @@ def blowup_constant(n: int) -> float:
     C = min(1/4, (2^(n-2)-1)(n-1)/(4(n-2)), n pi^2 omega_n^2 (2^n - 1)/4,
             (n-1)(2^n - 1)/(n-1+2^n)), where omega_n is the unit-ball volume.
     """
-    if n < 3:
-        raise UsageError("the blow-up family needs n >= 3")
+    check("n", n, 3, SIZE_BUDGET, integer=True)  # the blow-up family needs n >= 3
     omega = unit_ball_volume(n)
     terms = (
         0.25,
@@ -226,14 +215,12 @@ def separated_mode_sn_eigenvalue(
     at eps.  Because the boundary form is the rank-one evaluation at eps, the
     minimum equals 1 / (eps^(n-1) * (A^{-1})_00) with A the discrete form.
     """
-    if n < 2:
-        raise UsageError("separated modes need n >= 2")
-    if not 0 < eps < delta:
-        raise UsageError("need 0 < eps < delta")
-    if mu < 0 or lam < 0:
-        raise UsageError("mode eigenvalues must be nonnegative")
-    if resolution < 16:
-        raise UsageError("resolution must be at least 16")
+    check("n", n, 2, integer=True)
+    check("delta", delta, 0, strict=True)
+    check("eps", eps, 0, delta, strict=True)
+    check("mu", mu, 0)
+    check("lam", lam, 0)
+    check("resolution", resolution, 16, SIZE_BUDGET, integer=True)
     if mu == 0.0 and lam == 0.0:
         return 0.0
 
@@ -264,14 +251,16 @@ def separated_mode_sn_eigenvalue(
     band[1, :] = diag
     rhs = np.zeros(size)
     rhs[0] = 1.0
-    sol = solveh_banded(band, rhs, lower=False)
+    try:
+        sol = solveh_banded(band, rhs, lower=False)
+    except ValueError as exc:  # non-finite entries, or a form not positive definite
+        raise NumericalError(f"the radial solve failed ({exc})") from exc
     return float(1.0 / (eps ** (n - 1) * sol[0]))
 
 
 def circle_mode_eigenvalue(radius: float, j: int) -> float:
     """Laplace eigenvalue j^2/R^2 of the circle of radius R."""
-    if radius <= 0:
-        raise UsageError("radius must be positive")
+    check("radius", radius, 0, strict=True)
     return (j / radius) ** 2
 
 

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay
 
-from .errors import ResolutionError, UsageError
+from .errors import SIZE_BUDGET, ResolutionError, UsageError, check
 from .euclidean import unit_sphere_area
 from .mesh import NEUMANN, STEKLOV, EmbeddedMesh, boundary_facets
 
@@ -73,11 +73,7 @@ class FamilyDescriptor:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UsageError(f"unknown family kind {self.kind!r}")
-        if not self.h or not 0 < self.h < math.inf:
-            raise UsageError("h must be positive and finite")
-        if self.h_boundary is not None and not 0 < self.h_boundary < math.inf:
-            raise UsageError("h_boundary must be positive and finite")
-        need = {
+        need = ("h",) + {
             "ball-flat": ("delta",),
             "annulus-flat": ("eps", "delta"),
             "cylinder-surface": ("radius", "length"),
@@ -86,12 +82,12 @@ class FamilyDescriptor:
             "revolution-closure": ("eps", "delta"),
             "product-annulus-circle": ("eps", "delta", "circle_radius"),
         }[self.kind]
-        for name in need:
+        for name in ("h", "h_boundary", "radius", "length", "circle_radius", "major_radius",
+                     "minor_radius", "delta", "eps"):
             value = getattr(self, name)
-            if value is None or not 0 < value < math.inf:
-                raise UsageError(f"{self.kind} requires positive finite {name}")
-        if self.eps is not None and self.delta is not None and not self.eps < self.delta:
-            raise UsageError("need 0 < eps < delta")
+            if value is not None or name in need:
+                high = {"eps": self.delta, "minor_radius": self.major_radius}.get(name)
+                check(name, value, 0, high, strict=True)
         if self.kind in ("ball-flat", "annulus-flat", "sphere-boundary") and self.n not in (2, 3):
             raise UsageError(f"{self.kind} is meshed for n = 2, 3 only")
         if self.kind in ("revolution-closure", "product-annulus-circle") and self.n != 2:
@@ -357,8 +353,6 @@ def _mesh_sphere(desc: FamilyDescriptor) -> EmbeddedMesh:
 
 def _mesh_torus(desc: FamilyDescriptor) -> EmbeddedMesh:
     big, small = desc.major_radius, desc.minor_radius
-    if small >= big:
-        raise UsageError("torus needs minor_radius < major_radius")
     _require_resolved(small, desc.h, "torus tube")
     ntheta = _angular_count(2.0 * math.pi * (big + small), desc.h)
     nphi = _angular_count(2.0 * math.pi * small, desc.h)
@@ -476,7 +470,17 @@ _GENERATORS = {
 
 
 def generate_mesh(desc: FamilyDescriptor) -> EmbeddedMesh:
-    """Build the (validated) mesh for a family descriptor."""
+    """Build the (validated) mesh for a family descriptor.
+
+    UsageError, before any allocation, if |M| / min(h, h_boundary)^dim exceeds SIZE_BUDGET.
+    """
+    dim = {"cylinder-surface": 2, "torus-surface": 2, "sphere-boundary": desc.n - 1,
+           "product-annulus-circle": 3}.get(desc.kind, desc.n)
+    try:
+        predicted = exact_volumes(desc)[0] / min(desc.h, desc.h_boundary or desc.h) ** dim
+    except (OverflowError, ZeroDivisionError):
+        predicted = math.inf
+    check("the predicted vertex count", predicted, high=SIZE_BUDGET)
     return _GENERATORS[desc.kind](desc)
 
 

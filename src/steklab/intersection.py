@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NonTransverseSample, PreconditionError, UsageError
+from .errors import SIZE_BUDGET, NonTransverseSample, PreconditionError, UsageError, check
 from .euclidean import unit_sphere_area
 from .mesh import EmbeddedMesh
 
@@ -175,10 +175,8 @@ def estimate_index(
     re-counted on the witness plane before returning.  A PL mesh can exceed
     its smooth surface's index: the h=0.22 torus reaches 6 at seed 15.
     """
-    if samples < 1:
-        raise UsageError("need at least one sample")
-    if seed < 0:
-        raise UsageError("seed must be non-negative")
+    check("samples", samples, 1, integer=True)
+    check("seed", seed, 0, integer=True)
     rng = np.random.default_rng(seed)
     lo, hi = mesh.bounding_box()
     span = float(np.linalg.norm(hi - lo))
@@ -249,19 +247,15 @@ def degree_upper_bound(pieces: Sequence) -> int:
     contributes their product; a union contributes the sum of the pieces.
     A flat list of integers is treated as a single piece.
     """
-    if pieces is None or len(pieces) == 0:
-        raise UsageError("need at least one degree")
+    check("the number of degrees", len(pieces or ()), 1, integer=True)
     if all(isinstance(d, (int, np.integer)) for d in pieces):
         pieces = [list(pieces)]
     total = 0
     for piece in pieces:
-        if len(piece) == 0:
-            raise UsageError("empty degree list for a piece")
+        check("the number of degrees in a piece", len(piece), 1, integer=True)
         prod = 1
         for d in piece:
-            if int(d) < 1:
-                raise UsageError("degrees must be positive integers")
-            prod *= int(d)
+            prod *= int(check("each degree", d, 1, integer=True))
         total += prod
     return total
 
@@ -301,12 +295,10 @@ def concentration_audit(
     Returns the worst ratio against the cap, which must stay near or below 1
     whenever index_bound really bounds the intersection index.
     """
-    if trials < 1:
-        raise UsageError("need at least one trial")
-    if index_bound < 1:
-        raise UsageError("index_bound must be positive")
-    if seed < 0:
-        raise UsageError("seed must be non-negative")
+    check("trials", trials, 1, integer=True)
+    check("index_bound", index_bound, 1, integer=True)
+    check("seed", seed, 0, integer=True)
+    check("points_per_cell", points_per_cell, 1, SIZE_BUDGET, integer=True)
     rng = np.random.default_rng(seed)
     q = mesh.intrinsic_dim
     cap_coeff = 0.5 * index_bound * unit_sphere_area(q)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import MeshError, UsageError
+from .errors import MeshError, UsageError, check
 
 STEKLOV = "steklov"
 NEUMANN = "neumann"
@@ -277,8 +277,7 @@ class EmbeddedMesh:
 
     def scaled(self, t: float) -> "EmbeddedMesh":
         """Homothety by t > 0 about the origin."""
-        if t <= 0:
-            raise ValueError("scale factor must be positive")
+        check("the scale factor", t, 0, strict=True)
         return replace(self, vertices=self.vertices * t, metadata=dict(self.metadata))
 
     def transformed(self, rotation: np.ndarray, translation: np.ndarray) -> "EmbeddedMesh":
@@ -351,7 +350,7 @@ class EmbeddedMesh:
             cells = _index_array(doc["cells"])
             bf = _index_array([f["indices"] for f in faces]).reshape(len(faces), n)
             tags = np.array([f["tag"] for f in faces], dtype=object)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MeshError(f"malformed mesh document ({type(exc).__name__}: {exc})") from exc
         mesh = cls(vertices, cells, bf, tags, doc.get("metadata", {}))
         if mesh.ambient_dim != ambient:

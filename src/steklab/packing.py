@@ -18,7 +18,6 @@ evaluators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -33,6 +32,7 @@ from .errors import (
     ResolutionError,
     SteklabError,
     UsageError,
+    check,
 )
 from .euclidean import unit_sphere_area
 from .mesh import NEUMANN, EmbeddedMesh, read_only
@@ -71,11 +71,9 @@ class ConstantsConfig:
     d_ball: float = 1.0
 
     def __post_init__(self):
-        # the bounds take C as a double, so it must be an exact one
-        if self.c_cover is not None and not 1 <= self.c_cover <= 2**53:
-            raise UsageError("c_cover must be a positive integer no larger than 2^53")
-        if not 0 < self.d_ball < math.inf:
-            raise UsageError("d_ball must be positive and finite")
+        if self.c_cover is not None:
+            check("c_cover", self.c_cover, 1, integer=True)
+        check("d_ball", self.d_ball, 0, strict=True)
 
 
 @dataclass
@@ -132,8 +130,11 @@ def choose_radius(
 
         r = (|Sigma| / (2 C^2 |S^(n-1)| i(Sigma) (2k+2)))^(1/(n-1)).
     """
-    if min(total_boundary_volume, i_sigma, k, c_cover) <= 0 or n < 2:
-        raise UsageError("all radius inputs must be positive, n >= 2")
+    check("total_boundary_volume", total_boundary_volume, 0, strict=True)
+    check("i_sigma", i_sigma, 1, integer=True)
+    check("k", k, 1, integer=True)
+    check("n", n, 2, integer=True)
+    check("c_cover", c_cover, 0, strict=True)
     sphere = unit_sphere_area(n - 1)
     base = total_boundary_volume / (
         2.0 * c_cover**2 * sphere * i_sigma * (2 * k + 2)
@@ -252,8 +253,7 @@ def build_packing(
     floor and pairwise 3r separation) is re-verified directly before
     returning.
     """
-    if num_sets < 1:
-        raise UsageError("need at least one set")
+    check("num_sets", num_sets, 1, integer=True)
     total = measure.total
     cap = total / (4.0 * c_cover**2 * num_sets)
     worst_ball = max_ball_measure(measure, r)
@@ -379,15 +379,10 @@ def certify_sigma_k(
     The mesh keeps (K, B), the measure and its covering counts across k; the now
     redundant `operators` and `fem_sigma_k` stay for the callers that pass them.
     """
-    if k < 1:
-        raise UsageError("k must be at least 1")
-    if i_sigma < 1:
-        raise UsageError("i_sigma must be a positive integer")
-    if seed < 0:
-        raise UsageError("seed must be non-negative")
-    n = mesh.intrinsic_dim
-    if n < 2:
-        raise UsageError("certification needs an at least 2-dimensional mesh")
+    check("k", k, 1, integer=True)
+    check("i_sigma", i_sigma, 1, integer=True)
+    check("seed", seed, 0, integer=True)
+    n = check("the certified mesh's dimension", mesh.intrinsic_dim, 2, integer=True)
     measure = boundary_measure(mesh)
     c_cover, r = resolve_covering_constant(
         measure, config, mesh.ambient_dim, i_sigma, k, n, seed

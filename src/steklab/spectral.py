@@ -15,7 +15,6 @@ from a dense eigensolve of that inverted block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,7 +24,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 from scipy.sparse.linalg import norm as spnorm
 
-from .errors import NumericalError, UsageError
+from .errors import NumericalError, UsageError, check
 from .mesh import NEUMANN, STEKLOV, EmbeddedMesh, read_only, simplex_grams
 
 KIND_STEKLOV = "steklov"
@@ -42,10 +41,8 @@ class SpectralProblem:
     def __post_init__(self):
         if self.kind not in (KIND_STEKLOV, KIND_STEKLOV_NEUMANN):
             raise UsageError(f"unknown problem kind {self.kind!r}")
-        if self.k_max < 1:
-            raise UsageError("k_max must be at least 1")
-        if not 0 < self.tolerance < math.inf:
-            raise UsageError("tolerance must be positive and finite")
+        check("k_max", self.k_max, 1, integer=True)
+        check("tolerance", self.tolerance, 0, strict=True)
         tags = set(self.mesh.face_tags)
         if self.kind == KIND_STEKLOV and NEUMANN in tags:
             raise UsageError("pure Steklov problem posed on a mesh with neumann faces")

@@ -6,9 +6,21 @@ meshes; building them in session fixtures keeps the suite fast.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from steklab.families import FamilyDescriptor, generate_mesh
 from steklab.spectral import SpectralProblem, solve_steklov
+
+# every property test: reproducible examples, at most 100 of them, no deadline
+# (a CLI run can take a second), and fixtures such as capsys shared by examples
+settings.register_profile(
+    "steklab",
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+settings.load_profile("steklab")
 
 
 @pytest.fixture(scope="session")

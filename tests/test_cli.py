@@ -1,10 +1,11 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -514,12 +515,6 @@ def bounds_argv(draw):
     return argv + (["--check-identity"] if draw(st.booleans()) else [])
 
 
-@settings(
-    max_examples=100,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
 @given(argv=bounds_argv())
 def test_bounds_parameters_never_escape(capsys, argv):
     try:
@@ -553,3 +548,223 @@ def test_spectrum_non_finite_tolerance_exits_2(tmp_path, capsys, disk_document, 
     assert code == 2
     assert "tolerance must be positive and finite" in err
     assert not out.exists()
+
+
+# -- every numeric parameter passes one check -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["oracle", "disk", "--radius=nan"], 2),
+        (["oracle", "cylinder", "--L=nan"], 2),
+        (["oracle", "sphere-laplace", "--n", "2", "--radius=nan"], 2),
+        (["experiment", "asymptotics", "--radius=nan"], 2),
+        (["experiment", "obstruction", "--beta=nan"], 2),
+        (["oracle", "annulus-sn", "--eps", "1", "--delta=inf"], 2),
+        (["oracle", "separated-mode", "--n", "2", "--eps", "1", "--delta", "2",
+          "--mu=nan", "--lam", "0"], 2),
+        (["oracle", "separated-mode", "--n", "2", "--eps", "1", "--delta", "2",
+          "--mu", "1", "--lam=inf"], 2),
+        (["oracle", "blowup-constant", "--n", "100000"], 3),
+        (["experiment", "blowup", "--eps", "0.4", "--max-degree=-5",
+          "--max-circle-mode=-5"], 2),
+        (["oracle", "cylinder", "--L", "1", "--lambdas", "0,nan,4"], 2),
+    ],
+)
+def test_out_of_range_parameter_exit_code(tmp_path, capsys, argv, expected):
+    out = tmp_path / "report.json"
+    code, err = run_clean(argv, capsys, out)
+    assert code == expected
+    assert err.startswith("usage error:" if expected == 2 else "numerical failure:")
+    assert not out.exists()
+
+
+# each asks for more than SIZE_BUDGET vertices, values, grid nodes or modes
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mesh", "--family", "disk", "--delta", "1", "--h", "1e-300"],
+        ["mesh", "--family", "disk", "--delta", "1", "--h", "0.3", "--h-boundary", "1e-9"],
+        ["mesh", "--family", "ball", "--n", "3", "--delta", "1e200", "--h", "0.3"],
+        ["mesh", "--family", "cylinder", "--radius", "1", "--L", "1e12", "--h", "0.3"],
+        ["oracle", "disk", "--count", str(10**8)],
+        ["oracle", "sphere-laplace", "--n", "2", "--max-degree", str(10**8)],
+        ["oracle", "cylinder", "--L", "1", "--n", "30"],
+        ["oracle", "separated-mode", "--n", "2", "--eps", "1", "--delta", "2", "--mu", "1",
+         "--lam", "0", "--resolution", str(10**8)],
+        ["experiment", "asymptotics", "--k-hi", str(10**8)],
+        ["experiment", "asymptotics", "--source", "cylinder", "--k-hi", str(10**8)],
+        ["experiment", "blowup", "--eps", "0.4", "--max-degree", "10000",
+         "--max-circle-mode", "10000"],
+        ["experiment", "obstruction", "--k-max", str(10**8)],
+        ["experiment", "obstruction", "--k-max", str(10**400)],
+    ],
+)
+def test_over_budget_size_exits_2_before_allocating(tmp_path, capsys, argv):
+    if argv[0] == "mesh":
+        argv = argv + ["--mesh-out", str(tmp_path / "mesh.json")]
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        code, err = run_clean(argv, capsys, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err.startswith("usage error:")
+    assert peak < 16 * 2**20
+    assert not out.exists() and not (tmp_path / "mesh.json").exists()
+
+
+# one or two numeric options of a command take an extreme value, the rest a
+# valid one.  The extremes are invalid, or valid but cheap to run (a huge
+# count or degree exceeds SIZE_BUDGET); run lengths (--samples) only take
+# invalid ones.
+_REAL_EXTREMES = ["1e308", "5e-324", "1e-200", str(10**400), "nan", "inf", "-inf", "0", "-1"]
+_INT_EXTREMES = [str(2**53), str(2**53 + 1), str(10**400), "0", "-1", "nan"]
+
+
+def _real(lo, hi):
+    return st.floats(lo, hi).map(repr), st.sampled_from(_REAL_EXTREMES)
+
+
+def _int(lo, hi):
+    return st.integers(lo, hi).map(str), st.sampled_from(_INT_EXTREMES)
+
+
+def _listed(option):
+    valid, extreme = option
+    return (st.lists(valid, min_size=1, max_size=3).map(",".join),
+            st.tuples(valid, extreme).map(",".join))
+
+
+# (fixed words, numeric options with their valid and extreme values)
+_COMMANDS = [
+    ("mesh --family=disk", {"--n": _int(2, 3), "--delta": _real(0.5, 1.5),
+                            "--h": _real(0.3, 0.6), "--h-boundary": _real(0.1, 1.0)}),
+    ("mesh --family=annulus", {"--eps": _real(0.5, 1.0), "--delta": _real(1.5, 2.0),
+                               "--h": _real(0.2, 0.4), "--h-boundary": _real(0.1, 1.0)}),
+    ("mesh --family=cylinder", {"--radius": _real(0.5, 1.0), "--L": _real(0.5, 1.0),
+                                "--h": _real(0.2, 0.5)}),
+    ("mesh --family=circle", {"--n": _int(2, 3), "--eps": _real(0.5, 1.0),
+                              "--h": _real(0.2, 0.5)}),
+    ("mesh --family=torus", {"--major-radius": _real(2.0, 3.0),
+                             "--minor-radius": _real(0.5, 1.0), "--h": _real(0.3, 0.5)}),
+    ("mesh --family=revolution-closure", {"--eps": _real(0.5, 1.0),
+                                          "--delta": _real(1.5, 2.0), "--h": _real(0.3, 0.5)}),
+    ("mesh --family=product", {"--eps": _real(0.5, 0.8), "--delta": _real(1.5, 2.0),
+                               "--R": _real(0.3, 0.5), "--h": _real(0.3, 0.5)}),
+    ("spectrum", {"--kmax": _int(1, 6), "--tol": _real(1e-10, 1e-4)}),
+    ("index", {"--samples": (st.integers(1, 50).map(str),
+                             st.sampled_from(["0", "-1", str(2**53 + 1)])),
+               "--seed": _int(0, 100),
+               "--degrees": _listed(_int(1, 4))}),
+    ("certify", {"--k": _int(1, 3), "--i-sigma": _int(1, 4), "--d-ball": _real(0.1, 10.0),
+                 "--covering": (st.sampled_from(["literal", "empirical", "2", "64"]),
+                                st.sampled_from(_REAL_EXTREMES + _INT_EXTREMES)),
+                 "--seed": _int(0, 100)}),
+    ("oracle annulus-sn", {"--n": _int(2, 4), "--eps": _real(0.2, 1.0),
+                           "--delta": _real(1.5, 3.0), "--mode": _int(0, 10)}),
+    ("oracle cylinder", {"--L": _real(0.2, 2.0), "--count": _int(1, 20), "--n": _int(2, 4),
+                         "--radius": _real(0.5, 2.0), "--max-degree": _int(8, 64)}),
+    ("oracle cylinder", {"--L": _real(0.2, 2.0), "--count": _int(1, 8),
+                         "--lambdas": _listed(_real(0.0, 20.0))}),
+    ("oracle sphere-laplace", {"--n": _int(2, 6), "--radius": _real(0.5, 2.0),
+                               "--max-degree": _int(0, 20)}),
+    ("oracle disk", {"--radius": _real(0.5, 2.0), "--count": _int(1, 50)}),
+    ("oracle separated-mode", {"--n": _int(2, 4), "--eps": _real(0.2, 1.0),
+                               "--delta": _real(1.5, 3.0), "--mu": _real(0.0, 10.0),
+                               "--lam": _real(0.0, 10.0), "--resolution": _int(16, 512)}),
+    ("oracle blowup-constant", {"--n": _int(3, 12)}),
+    ("experiment asymptotics --source=disk", {"--radius": _real(0.5, 2.0),
+                                              "--k-lo": _int(5, 20), "--k-hi": _int(30, 120)}),
+    ("experiment asymptotics --source=cylinder", {"--radius": _real(0.5, 2.0),
+                                                  "--L": _real(0.5, 2.0), "--k-lo": _int(5, 20),
+                                                  "--k-hi": _int(30, 120)}),
+    ("experiment blowup", {"--n": _int(3, 4), "--eps": _listed(_real(0.1, 0.5)),
+                           "--max-degree": _int(0, 3), "--max-circle-mode": _int(0, 3),
+                           "--resolution": _int(16, 128)}),
+    ("experiment obstruction", {"--n": _int(2, 3), "--beta": _real(0.0, 2.0),
+                                "--k-min": _int(1, 10), "--k-max": _int(10, 40)}),
+]
+
+
+@pytest.fixture(scope="module")
+def disk_file(tmp_path_factory, disk_document):
+    path = tmp_path_factory.mktemp("fuzz") / "disk.json"
+    path.write_text(json.dumps(disk_document))
+    return path
+
+
+@given(data=st.data())
+def test_numeric_options_never_escape(tmp_path, capsys, disk_file, data):
+    words, options = data.draw(st.sampled_from(_COMMANDS), label="command")
+    values = {key: data.draw(valid) for key, (valid, _) in options.items()}
+    for key in data.draw(st.lists(st.sampled_from(sorted(options)), min_size=1, max_size=2,
+                                  unique=True), label="extreme options"):
+        values[key] = data.draw(options[key][1], label=key)
+    argv = words.split() + [f"{key}={value}" for key, value in values.items()]
+    if argv[0] == "mesh":
+        argv.append(f"--mesh-out={tmp_path / 'mesh.json'}")
+    elif argv[0] in MESH_COMMANDS:
+        argv.append(f"--mesh={disk_file}")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the text of an option
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        _strict_json(captured.out)
+    else:
+        assert captured.out == ""
+
+
+# a small mesh document broken by dropped, duplicated or permuted rows, or by
+# entries that are not finite, not numbers or not valid vertex indices
+_BAD_ENTRIES = [math.nan, math.inf, -math.inf, 1e308, 1.5, -1, 10**6, 2**53 + 1, 10**400,
+                "1", "x", True, None, [1, 2], {}]
+
+
+@st.composite
+def corrupted_documents(draw, doc):
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.sampled_from(["vertices", "cells", "boundary_faces"]))
+        rows = doc[key]
+        i = draw(st.integers(0, len(rows) - 1))
+        action = draw(st.sampled_from(["drop", "duplicate", "permute", "entry", "row"]))
+        if action == "drop":
+            del rows[i]
+        elif action == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), json.loads(json.dumps(rows[i])))
+        elif action == "permute":
+            rows[:] = draw(st.permutations(rows))
+        elif action == "row":
+            rows[i] = draw(st.sampled_from(_BAD_ENTRIES))
+        else:  # one entry of a row that an earlier corruption left a list
+            row = rows[i].get("indices") if isinstance(rows[i], dict) else rows[i]
+            if isinstance(row, list) and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_BAD_ENTRIES))
+        if not rows:
+            break
+    return doc
+
+
+@given(data=st.data())
+def test_corrupted_mesh_documents_never_escape(tmp_path, capsys, disk_document, data):
+    doc = data.draw(corrupted_documents(disk_document), label="document")
+    command = data.draw(st.sampled_from(sorted(MESH_COMMANDS)), label="command")
+    mesh_path = tmp_path / "mesh.json"
+    mesh_path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    code = main([command, "--mesh", str(mesh_path), *MESH_COMMANDS[command], "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in captured.err + captured.out
+    if code == 0:
+        _strict_json(out.read_text())
+    else:
+        assert not out.exists()
