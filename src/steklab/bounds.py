@@ -29,14 +29,19 @@ import numpy as np
 from .closed_forms import (
     annulus_sn_eigenvalue,
     blowup_constant,
+    circle_mode_eigenvalue,
     cylinder_steklov_spectrum,
     expand_multiplicities,
     separated_mode_sn_eigenvalue,
     sphere_laplace_spectrum,
+    sphere_mode_eigenvalue,
 )
 from .errors import SIZE_BUDGET, NumericalError, UsageError, check
 from .euclidean import unit_ball_volume, unit_sphere_area
-from .packing import ConstantsConfig, literal_covering_constant
+from .packing import ConstantsConfig, covering_constant
+
+COMPARISON_TOLERANCE = 1e-9  # relative slack of evaluate_bounds' sigma_k comparisons
+OBSTRUCTION_FIT_TOLERANCE = 0.05  # how far the fitted exponent may fall short
 
 
 @dataclass(frozen=True)
@@ -76,16 +81,21 @@ def constants(
     """All bound constants for dimensions (n, m).
 
     `covering` overrides the covering constant (an empirical value measured
-    on a mesh); otherwise config.c_cover, falling back to 32^m.
+    on a mesh); otherwise the config fixes it (packing.covering_constant).
+    UsageError when the config asks for an empirical constant: there is no
+    mesh here to measure it on.
     """
     check("n", n, 2, integer=True)
     check("m", m, n, integer=True)
     config = config or ConstantsConfig(use_empirical=False)
     if covering is None:
-        if config.c_cover is not None:
-            covering = float(config.c_cover)
-        else:
-            covering = float(literal_covering_constant(m))
+        fixed = covering_constant(config, m)
+        if fixed is None:
+            raise UsageError(
+                "the bounds need a literal or integer covering constant; an empirical "
+                "one is measured on a mesh (certify)"
+            )
+        covering = float(fixed)
     sphere = unit_sphere_area(n - 1)
     concentration = 2.0 ** (n - 1) * unit_sphere_area(n)
     tube = concentration / config.d_ball
@@ -222,10 +232,11 @@ class BoundReport:
         }
 
 
-def evaluate_bounds(
-    inputs: BoundInputs, sigma_k: Optional[float] = None, tolerance: float = 1e-9
-) -> BoundReport:
+def evaluate_bounds(inputs: BoundInputs, sigma_k: Optional[float] = None) -> BoundReport:
     """Evaluate every applicable bound; compare against sigma_k when given.
+
+    A comparison holds when sigma_k exceeds its bound by at most
+    COMPARISON_TOLERANCE (1 + |sigma_k|).
 
     NumericalError when a bound is not representable in double precision.
     """
@@ -239,7 +250,7 @@ def evaluate_bounds(
         raise NumericalError(f"the bounds overflow double precision ({exc})") from exc
     satisfied = {}
     if sigma_k is not None:
-        slack = tolerance * (1.0 + abs(sigma_k))
+        slack = COMPARISON_TOLERANCE * (1.0 + abs(sigma_k))
         satisfied["volume"] = bool(sigma_k <= vol_rhs + slack)
         satisfied["isoperimetric"] = bool(sigma_k * lhs_factor <= iso_rhs + slack)
         if inj_rhs is not None:
@@ -367,11 +378,11 @@ def blowup_experiment(
         best = math.inf
         argmin = (-1, -1)
         for a in range(max_sphere_degree + 2):
-            mu = a * (a + n - 2)
+            mu = sphere_mode_eigenvalue(n, a)
             for b in range(max_circle_mode + 2):
                 if a == 0 and b == 0:
                     continue
-                lam = (b / circle_r) ** 2
+                lam = circle_mode_eigenvalue(circle_r, b)
                 value = separated_mode_sn_eigenvalue(
                     n, eps, delta, mu, lam, resolution=resolution
                 )
@@ -425,7 +436,6 @@ def obstruction_experiment(
     n: int,
     beta: float,
     k_values: Sequence[int],
-    fit_tolerance: float = 0.05,
 ) -> ObstructionResult:
     """Growth-rate obstruction for volume-weighted eigenvalue bounds.
 
@@ -440,12 +450,21 @@ def obstruction_experiment(
     check("beta", beta, 0)
     # the last k first, so that a long range fails before it is expanded
     check("each k", k_values[-1] if k_values else 0, 1, SIZE_BUDGET, integer=True)
-    ks = sorted({int(check("each k", k, 1, SIZE_BUDGET, integer=True)) for k in k_values})
+    # each k expands the sphere spectrum of degrees <= D = k + 6, whose
+    # multiplicities sum to C(D+n-1, n-1) + C(D+n-2, n-1); the sum over the
+    # ks is checked as they are read, so a long range fails after a few thousand
+    ks, total = set(), 0
+    for k in k_values:
+        k = int(check("each k", k, 1, SIZE_BUDGET, integer=True))
+        if k not in ks:
+            ks.add(k)
+            total += math.comb(k + n + 5, n - 1) + math.comb(k + n + 4, n - 1)
+            check("the obstruction's multiplicity total", total, high=SIZE_BUDGET)
+    ks = sorted(ks)
     cross_section = unit_sphere_area(n - 1)
     rows = []
     for k in ks:
-        lam_k = float(k * (k + n - 2))
-        length = 1.0 / math.sqrt(lam_k)
+        length = 1.0 / math.sqrt(sphere_mode_eigenvalue(n, k))
         lams = expand_multiplicities(sphere_laplace_spectrum(n, 1.0, k + 6))
         spectrum = cylinder_steklov_spectrum(lams, length, 2 * k + 1)
         sigma = spectrum[2 * k]
@@ -467,5 +486,5 @@ def obstruction_experiment(
         rows=rows,
         fitted_exponent=float(slope),
         required_exponent=required,
-        consistent=bool(slope >= required - fit_tolerance),
+        consistent=bool(slope >= required - OBSTRUCTION_FIT_TOLERANCE),
     )

@@ -18,27 +18,21 @@ import numpy as np
 
 from . import __version__, bounds as bounds_mod, closed_forms, intersection, packing
 from .errors import MeshError, NumericalError, PreconditionError, SteklabError, UsageError
-from .families import FamilyDescriptor, generate_mesh, geometric_summary
+from .families import KINDS, FamilyDescriptor, generate_mesh, geometric_summary
 from .mesh import EmbeddedMesh
 from .report import StageTimer, run_report, write_boundary_traces, write_report, write_table
 from .spectral import SpectralProblem, solve_steklov
 
+# short names accepted by --family next to the family kinds themselves
 _FAMILY_ALIASES = {
     "ball": "ball-flat",
     "disk": "ball-flat",
-    "ball-flat": "ball-flat",
     "annulus": "annulus-flat",
-    "annulus-flat": "annulus-flat",
     "cylinder": "cylinder-surface",
-    "cylinder-surface": "cylinder-surface",
     "sphere": "sphere-boundary",
     "circle": "sphere-boundary",
-    "sphere-boundary": "sphere-boundary",
     "torus": "torus-surface",
-    "torus-surface": "torus-surface",
-    "revolution-closure": "revolution-closure",
     "product": "product-annulus-circle",
-    "product-annulus-circle": "product-annulus-circle",
 }
 
 
@@ -50,8 +44,7 @@ def _number_list(text: str, kind=float) -> list:
 
 
 def _covering_config(args) -> packing.ConstantsConfig:
-    choice = getattr(args, "covering", "empirical")
-    d_ball = getattr(args, "d_ball", 1.0)
+    choice, d_ball = args.covering, args.d_ball
     if choice == "empirical":
         return packing.ConstantsConfig(use_empirical=True, d_ball=d_ball)
     if choice == "literal":
@@ -64,7 +57,7 @@ def _covering_config(args) -> packing.ConstantsConfig:
 
 
 def _echo(args) -> dict:
-    skip = {"func", "out", "report", "table", "traces"}
+    skip = {"func", "out", "table", "traces"}
     return {k: v for k, v in vars(args).items() if k not in skip and not k.startswith("_")}
 
 
@@ -86,8 +79,8 @@ def _emit(args, command, payload, seed=None, timer=None, table_rows=None):
 
 
 def _cmd_mesh(args) -> int:
-    kind = _FAMILY_ALIASES.get(args.family)
-    if kind is None:
+    kind = _FAMILY_ALIASES.get(args.family, args.family)
+    if kind not in KINDS:
         raise UsageError(f"unknown family {args.family!r}")
     desc = FamilyDescriptor(
         kind=kind,
@@ -290,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mesh", help="generate a family mesh and its summary")
-    p.add_argument("--family", required=True, help="|".join(sorted(set(_FAMILY_ALIASES))))
+    p.add_argument("--family", required=True, help="|".join(sorted({*_FAMILY_ALIASES, *KINDS})))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--eps", type=float)
     p.add_argument("--delta", type=float)
@@ -442,7 +435,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # non-finite intermediates surface as residual, solver or strict-JSON
+        # failures below, so NumPy's floating-point warnings are only noise
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -61,7 +61,7 @@ def sphere_laplace_spectrum(n: int, radius: float, max_degree: int) -> list[tupl
     check("max_degree", max_degree, 0, SIZE_BUDGET, integer=True)
     out = []
     for k in range(max_degree + 1):
-        value = k * (k + n - 2) / radius**2
+        value = sphere_mode_eigenvalue(n, k) / radius**2
         if k == 0:
             mult = 1
         elif n == 2:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay
@@ -31,16 +31,6 @@ from scipy.spatial import ConvexHull, Delaunay
 from .errors import SIZE_BUDGET, ResolutionError, UsageError, check
 from .euclidean import unit_sphere_area
 from .mesh import NEUMANN, STEKLOV, EmbeddedMesh, boundary_facets
-
-KINDS = (
-    "ball-flat",
-    "annulus-flat",
-    "cylinder-surface",
-    "sphere-boundary",
-    "torus-surface",
-    "revolution-closure",
-    "product-annulus-circle",
-)
 
 _GRADING_RATIO = 1.3
 _MIN_ANGULAR = 8
@@ -71,27 +61,19 @@ class FamilyDescriptor:
     h_boundary: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        family = _FAMILIES.get(self.kind)
+        if family is None:
             raise UsageError(f"unknown family kind {self.kind!r}")
-        need = ("h",) + {
-            "ball-flat": ("delta",),
-            "annulus-flat": ("eps", "delta"),
-            "cylinder-surface": ("radius", "length"),
-            "sphere-boundary": ("eps",),
-            "torus-surface": ("major_radius", "minor_radius"),
-            "revolution-closure": ("eps", "delta"),
-            "product-annulus-circle": ("eps", "delta", "circle_radius"),
-        }[self.kind]
         for name in ("h", "h_boundary", "radius", "length", "circle_radius", "major_radius",
                      "minor_radius", "delta", "eps"):
             value = getattr(self, name)
-            if value is not None or name in need:
+            if value is not None or name == "h" or name in family.sizes:
                 high = {"eps": self.delta, "minor_radius": self.major_radius}.get(name)
                 check(name, value, 0, high, strict=True)
-        if self.kind in ("ball-flat", "annulus-flat", "sphere-boundary") and self.n not in (2, 3):
-            raise UsageError(f"{self.kind} is meshed for n = 2, 3 only")
-        if self.kind in ("revolution-closure", "product-annulus-circle") and self.n != 2:
-            raise UsageError(f"{self.kind} is meshed for n = 2 only")
+        if family.ns is not None and self.n not in family.ns:
+            raise UsageError(
+                f"{self.kind} is meshed for n = {', '.join(map(str, family.ns))} only"
+            )
 
 
 @dataclass(frozen=True)
@@ -202,25 +184,24 @@ def _band_cells(ring_ids: list[np.ndarray]) -> np.ndarray:
 # planar building blocks
 
 
-def _polar_rings(eps: float, delta: float, h: float, h_fine: Optional[float], ntheta=None):
-    """Radii for a structured polar lattice graded fine at radius eps."""
+def _polar_rings(eps: float, delta: float, h: float, h_fine: Optional[float]):
+    """Radii and angular count of a structured polar lattice graded fine at radius eps."""
     h_radial = None if h_fine is None else min(h, _NORMAL_TO_TANGENT * h_fine)
     offsets = _graded_offsets(delta - eps, h, h_radial)
     radii = eps + offsets
-    if ntheta is None:
-        ntheta = max(
-            _angular_count(2.0 * math.pi * delta, h),
-            _angular_count(2.0 * math.pi * eps, h_fine if h_fine else h),
-        )
+    ntheta = max(
+        _angular_count(2.0 * math.pi * delta, h),
+        _angular_count(2.0 * math.pi * eps, h_fine if h_fine else h),
+    )
     return radii, ntheta
 
 
-def _structured_annulus(eps, delta, h, h_fine=None, ntheta=None):
+def _structured_annulus(eps, delta, h, h_fine=None):
     """Structured ring-lattice triangle mesh of the planar annulus.
 
     Returns (points, triangles, inner_ring_ids, outer_ring_ids, ntheta).
     """
-    radii, ntheta = _polar_rings(eps, delta, h, h_fine, ntheta)
+    radii, ntheta = _polar_rings(eps, delta, h, h_fine)
     points = _rings(2.0 * math.pi * np.arange(ntheta) / ntheta, radii).reshape(-1, 2)
     ring_ids = np.arange(len(points)).reshape(len(radii), ntheta)
     return points, _band_cells(ring_ids), ring_ids[0], ring_ids[-1], ntheta
@@ -458,15 +439,26 @@ def _mesh_product_annulus_circle(desc: FamilyDescriptor) -> EmbeddedMesh:
     )
 
 
-_GENERATORS = {
-    "ball-flat": _mesh_ball,
-    "annulus-flat": _mesh_annulus,
-    "cylinder-surface": _mesh_cylinder,
-    "sphere-boundary": _mesh_sphere,
-    "torus-surface": _mesh_torus,
-    "revolution-closure": _mesh_revolution_closure,
-    "product-annulus-circle": _mesh_product_annulus_circle,
+@dataclass(frozen=True)
+class _Family:
+    sizes: tuple  # the descriptor sizes the family needs besides h
+    ns: Optional[tuple]  # the values of n it is meshed for; None: n is unused
+    dim: Callable[[int], int]  # intrinsic dimension of the mesh, given n
+    generate: Callable[[FamilyDescriptor], EmbeddedMesh]
+
+
+_FAMILIES = {
+    "ball-flat": _Family(("delta",), (2, 3), lambda n: n, _mesh_ball),
+    "annulus-flat": _Family(("eps", "delta"), (2, 3), lambda n: n, _mesh_annulus),
+    "cylinder-surface": _Family(("radius", "length"), None, lambda n: 2, _mesh_cylinder),
+    "sphere-boundary": _Family(("eps",), (2, 3), lambda n: n - 1, _mesh_sphere),
+    "torus-surface": _Family(("major_radius", "minor_radius"), None, lambda n: 2, _mesh_torus),
+    "revolution-closure": _Family(("eps", "delta"), (2,), lambda n: 2, _mesh_revolution_closure),
+    "product-annulus-circle": _Family(
+        ("eps", "delta", "circle_radius"), (2,), lambda n: 3, _mesh_product_annulus_circle
+    ),
 }
+KINDS = tuple(_FAMILIES)
 
 
 def generate_mesh(desc: FamilyDescriptor) -> EmbeddedMesh:
@@ -474,14 +466,14 @@ def generate_mesh(desc: FamilyDescriptor) -> EmbeddedMesh:
 
     UsageError, before any allocation, if |M| / min(h, h_boundary)^dim exceeds SIZE_BUDGET.
     """
-    dim = {"cylinder-surface": 2, "torus-surface": 2, "sphere-boundary": desc.n - 1,
-           "product-annulus-circle": 3}.get(desc.kind, desc.n)
+    family = _FAMILIES[desc.kind]
+    h_min = min(desc.h, desc.h_boundary or desc.h)
     try:
-        predicted = exact_volumes(desc)[0] / min(desc.h, desc.h_boundary or desc.h) ** dim
+        predicted = exact_volumes(desc)[0] / h_min ** family.dim(desc.n)
     except (OverflowError, ZeroDivisionError):
         predicted = math.inf
     check("the predicted vertex count", predicted, high=SIZE_BUDGET)
-    return _GENERATORS[desc.kind](desc)
+    return family.generate(desc)
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +506,9 @@ def exact_volumes(desc: FamilyDescriptor) -> tuple[float, float]:
         cap = math.pi * d * d
         collar = 2.0 * math.pi * (math.pi * d + 2.0)
         return annulus + cap + collar, 2.0 * math.pi * e
-    if desc.kind == "product-annulus-circle":
-        e, d, big_r = desc.eps, desc.delta, desc.circle_radius
-        circ = 2.0 * math.pi * big_r
-        return math.pi * (d * d - e * e) * circ, 2.0 * math.pi * e * circ
-    raise UsageError(f"unknown family {desc.kind!r}")
+    e, d, big_r = desc.eps, desc.delta, desc.circle_radius  # product-annulus-circle
+    circ = 2.0 * math.pi * big_r
+    return math.pi * (d * d - e * e) * circ, 2.0 * math.pi * e * circ
 
 
 def injectivity_radius(desc: FamilyDescriptor) -> Optional[float]:

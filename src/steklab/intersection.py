@@ -15,12 +15,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SIZE_BUDGET, NonTransverseSample, PreconditionError, UsageError, check
+from .errors import NonTransverseSample, PreconditionError, UsageError, check
 from .euclidean import unit_sphere_area
 from .mesh import EmbeddedMesh
 
 BARYCENTRIC_TOL = 1e-9
 CONDITION_MAX = 1e10
+AUDIT_POINTS_PER_CELL = 1000  # barycentric quadrature points per straddling cell
 
 _HILL_CLIMB_ROUNDS = 200
 _HILL_CLIMB_ANNEAL_EVERY = 50
@@ -88,21 +89,17 @@ class IndexEstimate:
         }
 
 
-def plane_mesh_intersections(
-    plane: AffinePlane,
-    mesh: EmbeddedMesh,
-    bary_tol: float = BARYCENTRIC_TOL,
-    cond_max: float = CONDITION_MAX,
-) -> int:
+def plane_mesh_intersections(plane: AffinePlane, mesh: EmbeddedMesh) -> int:
     """Number of transverse intersection points of the plane with the mesh.
 
     Per cell, solves the affine system {normal_rows (V lam) = offset,
     sum(lam) = 1} and counts a hit when all barycentric coordinates exceed
-    bary_tol.  A grazing solution (minimum coordinate within bary_tol of
-    zero) or an ill-conditioned system raises NonTransverseSample: the plane
-    does not qualify for the supremum and the caller must resample.  Cells
-    are screened first by reducing a slot-major (c, n+1, C) gather of the
-    signed distances over its short vertex-slot axis.
+    BARYCENTRIC_TOL.  A grazing solution (minimum coordinate within
+    BARYCENTRIC_TOL of zero) or a system conditioned worse than CONDITION_MAX
+    raises NonTransverseSample: the plane does not qualify for the supremum
+    and the caller must resample.  Cells are screened first by reducing a
+    slot-major (c, n+1, C) gather of the signed distances over its short
+    vertex-slot axis.
     """
     if plane.ambient_dim != mesh.ambient_dim:
         raise UsageError("plane and mesh ambient dimensions differ")
@@ -112,7 +109,7 @@ def plane_mesh_intersections(
             f"{mesh.intrinsic_dim} for point intersections"
         )
     signed = (mesh.vertices @ plane.normal_rows.T - plane.offset).T  # (c, N)
-    slack = bary_tol * (np.abs(signed).max() + 1.0)
+    slack = BARYCENTRIC_TOL * (np.abs(signed).max() + 1.0)
     per_slot = np.take(signed, mesh.cells.T, axis=1)  # (c, n+1, C)
     lo, hi = per_slot.min(axis=1), per_slot.max(axis=1)
     candidates = np.nonzero(np.all((lo <= slack) & (hi >= -slack), axis=0))[0]
@@ -124,16 +121,16 @@ def plane_mesh_intersections(
     systems[:, :-1, :] = per_slot[:, :, candidates].transpose(2, 0, 1)
     systems[:, -1, :] = 1.0
     conds = np.linalg.cond(systems)
-    if not np.all(np.isfinite(conds)) or conds.max() > cond_max:
+    if not np.all(np.isfinite(conds)) or conds.max() > CONDITION_MAX:
         raise NonTransverseSample("ill-conditioned plane-cell system")
     try:
         lam = np.linalg.solve(systems, np.eye(k)[None, :, -1:])[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise NonTransverseSample("singular plane-cell system") from exc
     lam_min = lam.min(axis=1)
-    if np.any(np.abs(lam_min) <= bary_tol):
+    if np.any(np.abs(lam_min) <= BARYCENTRIC_TOL):
         raise NonTransverseSample("intersection point grazes a cell facet")
-    return int(np.count_nonzero(lam_min > bary_tol))
+    return int(np.count_nonzero(lam_min > BARYCENTRIC_TOL))
 
 
 def _random_plane(rng: np.random.Generator, codim: int, lo, hi) -> AffinePlane:
@@ -285,20 +282,18 @@ def concentration_audit(
     index_bound: int,
     trials: int,
     seed: int = 0,
-    points_per_cell: int = 1000,
 ) -> ConcentrationReport:
     """Monte Carlo audit of |N intersect B(x, r)| <= (i/2) |S^q| r^q.
 
     Random centers near the mesh and random radii; the mesh volume inside
     each ball is summed exactly over cells entirely inside, and by a fixed
-    barycentric quadrature (points_per_cell points) over straddling cells.
+    barycentric quadrature (AUDIT_POINTS_PER_CELL points) over straddling cells.
     Returns the worst ratio against the cap, which must stay near or below 1
     whenever index_bound really bounds the intersection index.
     """
     check("trials", trials, 1, integer=True)
     check("index_bound", index_bound, 1, integer=True)
     check("seed", seed, 0, integer=True)
-    check("points_per_cell", points_per_cell, 1, SIZE_BUDGET, integer=True)
     rng = np.random.default_rng(seed)
     q = mesh.intrinsic_dim
     cap_coeff = 0.5 * index_bound * unit_sphere_area(q)
@@ -316,8 +311,8 @@ def concentration_audit(
     # sampling and equally unbiased over the random centers and radii.  The
     # point V^T b lies at squared distance b^T G b from the center, G the
     # Gram matrix of the cell's vertices about it: one GEMM against b (x) b
-    bary_cloud = rng.dirichlet(np.ones(q + 1), size=points_per_cell)
-    outer = (bary_cloud[:, :, None] * bary_cloud[:, None, :]).reshape(points_per_cell, -1).T
+    bary_cloud = rng.dirichlet(np.ones(q + 1), size=AUDIT_POINTS_PER_CELL)
+    outer = (bary_cloud[:, :, None] * bary_cloud[:, None, :]).reshape(AUDIT_POINTS_PER_CELL, -1).T
 
     worst = (-np.inf, None, None)
     for trial in range(trials):
@@ -339,7 +334,7 @@ def concentration_audit(
             grams = np.matmul(rel, rel.transpose(0, 2, 1)).reshape(straddle.size, -1)
             blocks = np.split(grams, range(_AUDIT_CHUNK, straddle.size, _AUDIT_CHUNK))
             hits = [(g @ outer <= radius * radius).sum(axis=1, dtype=np.int32) for g in blocks]
-            volume += float((vols[straddle] * (np.concatenate(hits) / points_per_cell)).sum())
+            volume += float((vols[straddle] * (np.concatenate(hits) / AUDIT_POINTS_PER_CELL)).sum())
 
         ratio = volume / (cap_coeff * radius**q)
         if ratio > worst[0]:

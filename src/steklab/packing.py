@@ -76,6 +76,17 @@ class ConstantsConfig:
         check("d_ball", self.d_ball, 0, strict=True)
 
 
+def covering_constant(config: ConstantsConfig, ambient_dim: int) -> Optional[int]:
+    """The covering constant the config fixes: c_cover if given, else 32^m.
+
+    None when the config asks for an empirical constant, which only a
+    boundary measure can supply (see resolve_covering_constant).
+    """
+    if config.c_cover is not None:
+        return int(config.c_cover)
+    return None if config.use_empirical else literal_covering_constant(ambient_dim)
+
+
 @dataclass
 class BoundaryMeasure:
     """Boundary volume measure concentrated at Steklov-boundary vertices.
@@ -199,16 +210,14 @@ def resolve_covering_constant(
 ) -> tuple[int, float]:
     """Covering constant and matching radius for a certification run.
 
+    When the config fixes no constant (covering_constant), it is measured.
     The empirical constant depends on the radius, which depends back on the
-    constant, so the measured value at radius r(C) must not exceed C itself.
-    Returns the smallest such admissible C >= 2 together with its radius.
+    constant, so the measured value at radius r(C) must not exceed C itself:
+    the smallest such admissible C >= 2 is returned together with its radius.
     The measure keeps each count, so a probe radius is measured once per seed.
     """
-    if config.c_cover is not None:
-        c = int(config.c_cover)
-    elif not config.use_empirical:
-        c = literal_covering_constant(ambient_dim)
-    else:
+    c = covering_constant(config, ambient_dim)
+    if c is None:
         # covering counts are only meaningful at scales the atom cloud
         # resolves, so probe at least a dozen atom spacings
         floor = 12.0 * measure.spacing

@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from . import __version__
 from .errors import NumericalError
 
 REPORT_SCHEMA_VERSION = 1
@@ -58,20 +59,11 @@ class StageTimer:
         return _Ctx()
 
 
-def run_report(
-    command: str,
-    parameters: dict,
-    payload,
-    seed=None,
-    wall_times=None,
-    tool_version: str = None,
-) -> dict:
-    if tool_version is None:
-        from . import __version__ as tool_version
+def run_report(command: str, parameters: dict, payload, seed=None, wall_times=None) -> dict:
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool": "steklab",
-        "tool_version": tool_version,
+        "tool_version": __version__,
         "command": command,
         "parameters": _jsonable(parameters),
         "seed": seed,
@@ -108,8 +100,6 @@ def write_table(path, rows) -> None:
 def write_boundary_traces(path, result) -> None:
     """CSV of eigenvector boundary traces keyed by boundary vertex index."""
     vecs = result.eigenvectors_boundary
-    if vecs is None:
-        raise ValueError("no boundary eigenvectors were stored")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["boundary_vertex"] + [f"mode_{j}" for j in range(vecs.shape[1])])

@@ -16,7 +16,6 @@ from a dense eigensolve of that inverted block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -59,7 +58,7 @@ class SpectralResult:
     dof_interior: int
     dof_boundary: int
     boundary_vertices: np.ndarray
-    eigenvectors_boundary: Optional[np.ndarray] = None
+    eigenvectors_boundary: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def to_payload(self) -> dict:

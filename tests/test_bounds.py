@@ -49,6 +49,16 @@ def test_covering_constant_values():
     assert constants(2, 2, literal_config()).covering == 1024
 
 
+def test_empirical_covering_constant_needs_a_mesh():
+    empirical = ConstantsConfig(use_empirical=True)
+    with pytest.raises(UsageError, match="empirical"):
+        constants(2, 2, empirical)
+    with pytest.raises(UsageError, match="empirical"):
+        evaluate_bounds(BoundInputs(**BASE_INPUTS, config=empirical))
+    # a constant measured on a mesh overrides the config
+    assert BoundInputs(**BASE_INPUTS, config=empirical, covering=3).constants().covering == 3
+
+
 def test_volume_coefficient_formula():
     # n = 2, m = 3: 4 * 4^3 * (32^3)^5 * (2 pi)^2
     c = constants(2, 3, literal_config())
@@ -310,3 +320,23 @@ def test_injectivity_rhs_scales_like_thin_boundary_floor():
         ratio = rhs(eps / 2) / rhs(eps)
         assert 1.99 <= ratio <= 2.0 + 1e-9
     assert rhs(1e-20) > rhs(1.0)
+
+
+def test_obstruction_total_is_checked_before_any_spectrum(monkeypatch):
+    import steklab.bounds as bounds_module
+
+    def never(*args):
+        raise AssertionError("a sphere spectrum was built")
+
+    monkeypatch.setattr(bounds_module, "sphere_laplace_spectrum", never)
+    # n = 2: the degree-(k+6) spectrum holds 2k + 13 values, so the total
+    # passes 10^7 near k = 3,160, long before the range ends
+    with pytest.raises(UsageError, match="multiplicity total"):
+        obstruction_experiment(2, 0.0, range(10, 10**6 + 1))
+    with pytest.raises(UsageError, match="multiplicity total"):
+        obstruction_experiment(3, 0.0, [10**4])  # (k + 7)^2 values for one k
+
+
+def test_obstruction_total_counts_each_k_once():
+    once = obstruction_experiment(2, 0.0, range(10, 40))
+    assert obstruction_experiment(2, 0.0, [*range(10, 40), *range(10, 40)]) == once

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,30 @@ def test_bounds_requires_r0_for_injectivity(capsys):
     ])
     assert code == 2
     assert "r0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("covering, expected", [("literal", 1024.0), ("7", 7.0)])
+def test_bounds_report_the_covering_constant_as_a_float(capsys, covering, expected):
+    assert run(BOUNDS_ARGS + ["--covering", covering]) == 0
+    value = json.loads(capsys.readouterr().out)["payload"]["constants"]["covering_constant"]
+    assert value == expected and isinstance(value, float)
+
+
+def test_every_family_name_is_listed_and_accepted(tmp_path, capsys, monkeypatch):
+    from steklab.families import KINDS
+
+    monkeypatch.setenv("COLUMNS", "1000")  # one line of help: no name split at a hyphen
+    with pytest.raises(SystemExit):
+        main(["mesh", "--help"])
+    listed = capsys.readouterr().out
+    names = ["ball", "disk", "annulus", "cylinder", "sphere", "circle", "torus", "product",
+             *KINDS]
+    assert all(name in listed for name in names)
+    assert run(["mesh", "--family", "sphere-boundary", "--eps", "1", "--h", "0.5",
+                "--mesh-out", str(tmp_path / "m.json"), "--out", str(tmp_path / "r.json")]) == 0
+    code, err = run_clean(["mesh", "--family", "revolution", "--h", "0.5",
+                           "--mesh-out", str(tmp_path / "x.json")], capsys)
+    assert code == 2 and "unknown family 'revolution'" in err
 
 
 def test_experiment_blowup_table(tmp_path, capsys):
@@ -570,6 +595,8 @@ def test_spectrum_non_finite_tolerance_exits_2(tmp_path, capsys, disk_document, 
         (["experiment", "blowup", "--eps", "0.4", "--max-degree=-5",
           "--max-circle-mode=-5"], 2),
         (["oracle", "cylinder", "--L", "1", "--lambdas", "0,nan,4"], 2),
+        # bounds has no mesh to measure an empirical covering constant on
+        ([*BOUNDS_ARGS, "--covering", "empirical"], 2),
     ],
 )
 def test_out_of_range_parameter_exit_code(tmp_path, capsys, argv, expected):
@@ -578,6 +605,31 @@ def test_out_of_range_parameter_exit_code(tmp_path, capsys, argv, expected):
     assert code == expected
     assert err.startswith("usage error:" if expected == 2 else "numerical failure:")
     assert not out.exists()
+
+
+# each drives NumPy through an overflow or an invalid value before it fails
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["oracle", "separated-mode", "--n", "2", "--eps", "0.5", "--delta", "2",
+          "--mu", "1e308", "--lam", "1"], 3),
+        (["spectrum"], 4),
+    ],
+)
+def test_floating_point_noise_stays_off_stderr(tmp_path, capsys, disk_document, argv, expected):
+    if argv == ["spectrum"]:
+        doc = json.loads(json.dumps(disk_document))
+        doc["vertices"][20] = [1e308, 1e308]
+        mesh_path = tmp_path / "mesh.json"
+        mesh_path.write_text(json.dumps(doc))
+        argv = ["spectrum", "--mesh", str(mesh_path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_clean(argv, capsys)
+    assert code == expected
+    assert [str(w.message) for w in caught] == []
+    assert err.count("\n") == 1  # the one failure line
+    assert err.startswith("numerical failure:" if expected == 3 else "precondition failure:")
 
 
 # each asks for more than SIZE_BUDGET vertices, values, grid nodes or modes
@@ -599,6 +651,8 @@ def test_out_of_range_parameter_exit_code(tmp_path, capsys, argv, expected):
          "--max-circle-mode", "10000"],
         ["experiment", "obstruction", "--k-max", str(10**8)],
         ["experiment", "obstruction", "--k-max", str(10**400)],
+        # each k passes on its own; their sphere spectra together do not
+        ["experiment", "obstruction", "--k-max", str(10**6)],
     ],
 )
 def test_over_budget_size_exits_2_before_allocating(tmp_path, capsys, argv):

@@ -15,6 +15,7 @@ from steklab.packing import (
     build_packing,
     certify_sigma_k,
     choose_radius,
+    covering_constant,
     empirical_covering_constant,
     max_ball_measure,
     literal_covering_constant,
@@ -55,6 +56,13 @@ def test_choose_radius_dimension_exponent():
 def test_literal_covering_constant():
     assert literal_covering_constant(3) == 32768
     assert literal_covering_constant(2) == 1024
+
+
+def test_covering_constant_decision():
+    assert covering_constant(ConstantsConfig(use_empirical=False), 3) == 32768
+    assert covering_constant(ConstantsConfig(use_empirical=False, c_cover=5), 3) == 5
+    assert covering_constant(ConstantsConfig(use_empirical=True, c_cover=5), 3) == 5
+    assert covering_constant(ConstantsConfig(use_empirical=True), 3) is None  # measured
 
 
 def test_boundary_measure_totals(annulus_mesh):
