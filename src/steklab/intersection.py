@@ -46,8 +46,8 @@ class AffinePlane:
             raise UsageError("codimension must satisfy 1 <= c <= m")
         if self.offset.shape != (c,):
             raise UsageError("offset length must equal the codimension")
-        gram = self.normal_rows @ self.normal_rows.T
-        if not np.allclose(gram, np.eye(c), atol=1e-12):
+        eye = np.eye(c)  # np.allclose(gram, eye, atol=1e-12) in plain ufuncs; NaN and inf fail
+        if not (np.abs(self.normal_rows @ self.normal_rows.T - eye) <= 1e-12 + 1e-5 * eye).all():
             raise UsageError("normal rows must be orthonormal")
 
     @property
@@ -120,8 +120,8 @@ def plane_mesh_intersections(plane: AffinePlane, mesh: EmbeddedMesh) -> int:
     systems = np.empty((len(candidates), k, k))
     systems[:, :-1, :] = per_slot[:, :, candidates].transpose(2, 0, 1)
     systems[:, -1, :] = 1.0
-    conds = np.linalg.cond(systems)
-    if not np.all(np.isfinite(conds)) or conds.max() > CONDITION_MAX:
+    s = np.linalg.svd(systems, compute_uv=False)  # condition number s[0] / s[-1]
+    if not (s[:, 0] <= CONDITION_MAX * s[:, -1]).all():  # NaN and s[-1] == 0 fail too
         raise NonTransverseSample("ill-conditioned plane-cell system")
     try:
         lam = np.linalg.solve(systems, np.eye(k)[None, :, -1:])[:, :, 0]
@@ -288,6 +288,11 @@ def concentration_audit(
     Random centers near the mesh and random radii; the mesh volume inside
     each ball is summed exactly over cells entirely inside, and by a fixed
     barycentric quadrature (AUDIT_POINTS_PER_CELL points) over straddling cells.
+    A cell not inside straddles when its nearest vertex is within radius +
+    2 spread of the center and its centroid within (radius + spread)(1 + 1e-12),
+    spread being its largest vertex-to-centroid distance.  The centroid test is
+    exact: all of a simplex lies within spread of its centroid, so a dropped
+    cell holds no quadrature point of the ball, and the margin absorbs rounding.
     Returns the worst ratio against the cap, which must stay near or below 1
     whenever index_bound really bounds the intersection index.
     """
@@ -300,7 +305,8 @@ def concentration_audit(
 
     vols = mesh.cell_volumes()
     slot_pts = mesh.vertices[mesh.cells.T]  # (n+1, C, m): one row of vertices per slot
-    spread = np.linalg.norm(slot_pts - slot_pts.mean(axis=0), axis=2).max(axis=0)
+    centroids = slot_pts.mean(axis=0)  # (C, m)
+    spread = np.linalg.norm(slot_pts - centroids, axis=2).max(axis=0)
     vert_sq = (slot_pts**2).sum(axis=2)  # (n+1, C)
     diam = mesh.diameter()
     r_lo = max(np.median(spread) * 2.0, diam * 1e-3)
@@ -329,12 +335,18 @@ def concentration_audit(
         inside = dmax <= radius
         volume = float(vols[inside].sum())
         straddle = np.nonzero(~inside & (dmin <= radius + 2.0 * spread))[0]
-        if straddle.size:
-            rel = slot_pts[:, straddle].transpose(1, 0, 2) - center  # (s, n+1, m)
-            grams = np.matmul(rel, rel.transpose(0, 2, 1)).reshape(straddle.size, -1)
-            blocks = np.split(grams, range(_AUDIT_CHUNK, straddle.size, _AUDIT_CHUNK))
-            hits = [(g @ outer <= radius * radius).sum(axis=1, dtype=np.int32) for g in blocks]
-            volume += float((vols[straddle] * (np.concatenate(hits) / AUDIT_POINTS_PER_CELL)).sum())
+        # the centroid test of the docstring; a cell it drops keeps its zero in
+        # the sum, so the summation order and every bit of the volume stay
+        reach = (radius + spread[straddle]) * (1.0 + 1e-12)
+        near = np.linalg.norm(centroids[straddle] - center, axis=1) <= reach
+        rel = slot_pts[:, straddle[near]].transpose(1, 0, 2) - center  # (s, n+1, m)
+        grams = np.matmul(rel, rel.transpose(0, 2, 1)).reshape(len(rel), len(outer))
+        blocks = np.split(grams, range(_AUDIT_CHUNK, len(rel), _AUDIT_CHUNK))
+        hits = np.zeros(straddle.size, dtype=np.int32)
+        hits[near] = np.concatenate(
+            [(g @ outer <= radius * radius).sum(axis=1, dtype=np.int32) for g in blocks]
+        )
+        volume += float((vols[straddle] * (hits / AUDIT_POINTS_PER_CELL)).sum())
 
         ratio = volume / (cap_coeff * radius**q)
         if ratio > worst[0]:

@@ -231,10 +231,11 @@ class EmbeddedMesh:
     def validate(self) -> None:
         """Check structural invariants; raise MeshError on the first failure.
 
-        Runs on construction, and the mesh keeps the cell volumes it measures.
+        Runs on construction, and the mesh keeps the cell and face volumes it measures.
         Verified: finite coordinates, index ranges, known tags, every facet in
         at most two cells, the boundary faces listed once each and exactly the
-        facets of one cell, and every cell of positive volume.
+        facets of one cell, every cell of positive volume, and finite cell and
+        boundary-face volumes with finite totals.
         """
         n = self.intrinsic_dim
         if not (1 <= n <= self.ambient_dim):
@@ -272,6 +273,9 @@ class EmbeddedMesh:
         degenerate = np.nonzero(vols <= 0.0)[0]
         if degenerate.size:
             raise MeshError(f"cell {int(degenerate[0])} has nonpositive volume")
+        for what, measures in (("cell", vols), ("boundary face", self.face_volumes())):
+            if not np.isfinite(measures.sum()):  # volumes are >= 0: one total covers each
+                raise MeshError(f"{what} volumes or their total are not finite")
 
     # -- transforms ------------------------------------------------------
 

@@ -632,6 +632,25 @@ def test_floating_point_noise_stays_off_stderr(tmp_path, capsys, disk_document, 
     assert err.startswith("numerical failure:" if expected == 3 else "precondition failure:")
 
 
+# vertex 0 lies on the boundary circle, vertex 22 inside the disk; at x = 1e308
+# their cells measure inf, and `index` used to exit 0 after LAPACK printed
+# "DLASCL parameter ... illegal value" lines straight to file descriptor 2
+@pytest.mark.parametrize("vertex", [0, 22])
+@pytest.mark.parametrize("command", sorted(MESH_COMMANDS))
+def test_overflowing_mesh_measures_exit_4(tmp_path, capfd, disk_document, command, vertex):
+    doc = json.loads(json.dumps(disk_document))
+    doc["vertices"][vertex][0] = 1e308
+    mesh_path = tmp_path / "mesh.json"
+    mesh_path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = run([command, "--mesh", str(mesh_path), *MESH_COMMANDS[command], "--out", str(out)])
+    captured = capfd.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "precondition failure: cell volumes or their total are not finite\n"
+    assert not out.exists()
+
+
 # each asks for more than SIZE_BUDGET vertices, values, grid nodes or modes
 @pytest.mark.parametrize(
     "argv",

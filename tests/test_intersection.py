@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from steklab import intersection
 from steklab.errors import NonTransverseSample, PreconditionError, UsageError
@@ -17,6 +19,7 @@ from steklab.intersection import (
     estimate_index,
     plane_mesh_intersections,
 )
+from steklab.mesh import EmbeddedMesh
 
 
 def horizontal_line(offset):
@@ -142,8 +145,6 @@ def test_concentration_audit_flat_disk_piece():
     # (1/2) |S^2| r^2 = 2 pi r^2, twice the plain pi r^2
     disk = generate_mesh(FamilyDescriptor("ball-flat", h=0.1, n=2, delta=1.0))
     verts3 = np.column_stack([disk.vertices, np.zeros(len(disk.vertices))])
-    from steklab.mesh import EmbeddedMesh
-
     flat = EmbeddedMesh(verts3, disk.cells, disk.boundary_faces, disk.face_tags)
     report = concentration_audit(flat, index_bound=1, trials=800, seed=5)
     assert report.worst_ratio <= 0.55  # continuum worst case is 1/2
@@ -167,8 +168,9 @@ def test_degree_bound_violation_detected(circle_mesh):
 # -- reference agreement -------------------------------------------------------
 #
 # Test-local copies of the earlier kernels: the plane screen that reduced a
-# strided (C, n+1, c) gather along its vertex axis, and the audit that held a
-# precomputed (C, P, m) cloud.  The current kernels must reproduce them.
+# strided (C, n+1, c) gather along its vertex axis, the audit that held a
+# precomputed (C, P, m) cloud, and the Gram-quadrature audit whose straddle
+# test had no centroid bound.  The current kernels must reproduce them.
 
 
 def _strided_count(plane, mesh, bary_tol=BARYCENTRIC_TOL, cond_max=CONDITION_MAX):
@@ -230,6 +232,46 @@ def _cloud_audit(mesh, index_bound, trials, seed=0, points_per_cell=1000):
             d_sq = cloud_sq[straddle] - 2.0 * (cloud[straddle] @ center) + c_sq
             frac = (d_sq <= radius * radius).mean(axis=1)
             volume += float((vols[straddle] * frac).sum())
+        ratio = volume / (cap_coeff * radius**q)
+        if ratio > worst[0]:
+            worst = (ratio, center, radius)
+    return worst
+
+
+def _loose_straddle_audit(mesh, index_bound, trials, seed=0):
+    """The Gram-quadrature audit that sent every cell with dmin <= r + 2 spread."""
+    rng = np.random.default_rng(seed)
+    q = mesh.intrinsic_dim
+    cap_coeff = 0.5 * index_bound * unit_sphere_area(q)
+    vols = mesh.cell_volumes()
+    slot_pts = mesh.vertices[mesh.cells.T]
+    spread = np.linalg.norm(slot_pts - slot_pts.mean(axis=0), axis=2).max(axis=0)
+    vert_sq = (slot_pts**2).sum(axis=2)
+    diam = mesh.diameter()
+    r_lo = max(np.median(spread) * 2.0, diam * 1e-3)
+    r_hi = diam * 0.35
+    bary_cloud = rng.dirichlet(np.ones(q + 1), size=1000)
+    outer = (bary_cloud[:, :, None] * bary_cloud[:, None, :]).reshape(1000, -1).T
+    worst = (-np.inf, None, None)
+    for trial in range(trials):
+        cell = rng.integers(0, slot_pts.shape[1])
+        bary = rng.dirichlet(np.ones(q + 1))
+        center = bary @ slot_pts[:, cell]
+        if trial % 2:
+            center = center + 0.1 * diam * rng.standard_normal(mesh.ambient_dim)
+        radius = float(np.exp(rng.uniform(np.log(r_lo), np.log(r_hi))))
+        dist_sq = vert_sq - 2.0 * (slot_pts @ center) + float(center @ center)
+        dmax = np.sqrt(np.maximum(dist_sq.max(axis=0), 0.0))
+        dmin = np.sqrt(np.maximum(dist_sq.min(axis=0), 0.0))
+        inside = dmax <= radius
+        volume = float(vols[inside].sum())
+        straddle = np.nonzero(~inside & (dmin <= radius + 2.0 * spread))[0]
+        if straddle.size:
+            rel = slot_pts[:, straddle].transpose(1, 0, 2) - center
+            grams = np.matmul(rel, rel.transpose(0, 2, 1)).reshape(straddle.size, -1)
+            blocks = np.split(grams, range(256, straddle.size, 256))
+            hits = [(g @ outer <= radius * radius).sum(axis=1, dtype=np.int32) for g in blocks]
+            volume += float((vols[straddle] * (np.concatenate(hits) / 1000)).sum())
         ratio = volume / (cap_coeff * radius**q)
         if ratio > worst[0]:
             worst = (ratio, center, radius)
@@ -312,6 +354,83 @@ def test_audit_matches_cloud_reference(mesh_name, bound, request):
     assert report.worst_ratio == ratio
     assert np.array_equal(report.worst_center, center)
     assert report.worst_radius == radius
+
+
+@pytest.mark.parametrize(
+    "mesh_name, bound", [("circle_mesh", 2), ("coarse_torus", 4), ("revolution_mesh", 6)]
+)
+def test_centroid_straddle_test_drops_only_cells_without_hits(mesh_name, bound, request):
+    mesh = request.getfixturevalue(mesh_name)
+    report = concentration_audit(mesh, bound, trials=300, seed=3)
+    ratio, center, radius = _loose_straddle_audit(mesh, bound, trials=300, seed=3)
+    assert report.worst_ratio == ratio
+    assert np.array_equal(report.worst_center, center)
+    assert report.worst_radius == radius
+
+
+@st.composite
+def plane_rows(draw):
+    """(c, m) rows: orthonormal, perturbed by 1e-13..1e-3, or holding NaN or +-inf."""
+    m = draw(st.integers(1, 4))
+    c = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.linalg.qr(rng.standard_normal((m, c)))[0].T
+    kind = draw(st.sampled_from(["orthonormal", "perturbed", "nan", "inf", "-inf"]))
+    if kind == "perturbed":
+        scale = 10.0 ** draw(st.floats(-13.0, -3.0))
+        rows = rows + scale * rng.standard_normal(rows.shape)
+    elif kind != "orthonormal":
+        rows[draw(st.integers(0, c - 1)), draw(st.integers(0, m - 1))] = float(kind)
+    return rows
+
+
+@given(rows=plane_rows())
+def test_plane_check_matches_allclose(rows):
+    with np.errstate(all="ignore"):
+        expected = np.allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-12)
+        try:
+            AffinePlane(rows, np.zeros(len(rows)))
+            accepted = True
+        except UsageError:
+            accepted = False
+    assert accepted == expected
+
+
+def _sliver_cell(rng, dim):
+    """One cell across the plane {x_1 = ... = x_dim = 0} of R^(dim+1) whose
+    plane-cell system has a condition number near CONDITION_MAX: its vertices
+    project onto a simplex of width about 1e-12..1e-8 around the origin."""
+    width = 10.0 ** rng.uniform(-12.0, -8.0, size=dim + 1)
+    if dim == 1:  # a segment crossing a line
+        projected = np.array([[-width[0]], [width[1]]])
+        vertices = np.column_stack([projected, [0.0, 1.0]])
+    else:  # a triangle crossing a line in R^3
+        projected = np.array([[-1.0, -width[0]], [1.0, -width[1]], [0.0, width[2]]])
+        vertices = np.column_stack([projected, [0.0, 0.0, 1.0]])
+    faces = [[0], [1]] if dim == 1 else [[0, 1], [1, 2], [0, 2]]
+    mesh = EmbeddedMesh(vertices, [list(range(dim + 1))], faces, ["steklov"] * len(faces))
+    plane = AffinePlane(np.eye(dim + 1)[:dim], np.zeros(dim))
+    system = np.vstack([projected.T, np.ones(dim + 1)])
+    return mesh, plane, system
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_svd_ratio_rejection_matches_condition_number(dim):
+    rng = np.random.default_rng(17 + dim)
+    decisions = []
+    for _ in range(200):
+        mesh, plane, system = _sliver_cell(rng, dim)
+        cond = np.linalg.cond(system)
+        expected_reject = not np.isfinite(cond) or cond > CONDITION_MAX
+        try:
+            assert plane_mesh_intersections(plane, mesh) == 1
+            rejected = False
+        except NonTransverseSample as exc:
+            assert "ill-conditioned" in str(exc)
+            rejected = True
+        assert rejected == expected_reject
+        decisions.append(rejected)
+    assert 20 < sum(decisions) < 180  # both sides of CONDITION_MAX are drawn
 
 
 def test_audit_memory_does_not_grow_with_cloud(coarse_torus):
