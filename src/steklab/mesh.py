@@ -26,6 +26,8 @@ STEKLOV = "steklov"
 NEUMANN = "neumann"
 
 MESH_FORMAT_VERSION = 1
+# list items per json.dumps call in EmbeddedMesh.save
+SAVE_BLOCK = 1024
 
 
 def simplex_grams(vertices: np.ndarray, simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -34,13 +36,15 @@ def simplex_grams(vertices: np.ndarray, simplices: np.ndarray) -> tuple[np.ndarr
     Row c of `simplices` indexes the d+1 vertices of one simplex and E holds
     its edge vectors from the first vertex.  The volume is sqrt(det(E E^T))/d!,
     0 exactly when the simplex is degenerate and 1 for a point (0-dimensional
-    counting measure).
+    counting measure).  A determinant that overflows to NaN stays NaN, so the
+    caller sees a measure that is not finite rather than a degenerate simplex.
     """
     pts = vertices[simplices]
     edges = pts[:, 1:, :] - pts[:, :1, :]
     gram = np.einsum("cik,cjk->cij", edges, edges)
-    det = np.linalg.det(gram)
-    return gram, np.sqrt(np.where(det > 0.0, det, 0.0)) / math.factorial(simplices.shape[1] - 1)
+    with np.errstate(invalid="ignore"):  # an inf Gram entry makes the LU NaN
+        det = np.linalg.det(gram)
+    return gram, np.sqrt(np.where(det <= 0.0, 0.0, det)) / math.factorial(simplices.shape[1] - 1)
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
@@ -331,15 +335,31 @@ class EmbeddedMesh:
             "vertices": self.vertices.tolist(),
             "cells": self.cells.tolist(),
             "boundary_faces": [
-                {"indices": [int(v) for v in face], "tag": str(tag)}
-                for face, tag in zip(self.boundary_faces, self.face_tags)
+                {"indices": face, "tag": str(tag)}
+                for face, tag in zip(self.boundary_faces.tolist(), self.face_tags)
             ],
             "metadata": self.metadata,
         }
 
     def save(self, path) -> None:
+        """Write exactly the text of json.dumps(self.to_document()).
+
+        json.dump would run CPython's pure-Python encoder, and one json.dumps
+        holds every token of the document until it joins them, so lists go
+        through the C encoder SAVE_BLOCK items at a time.
+        """
         with open(path, "w") as fh:
-            json.dump(self.to_document(), fh)
+            for i, (key, value) in enumerate(self.to_document().items()):
+                fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+                if not isinstance(value, list):
+                    fh.write(json.dumps(value))
+                    continue
+                fh.write("[")
+                for start in range(0, len(value), SAVE_BLOCK):
+                    block = json.dumps(value[start : start + SAVE_BLOCK])[1:-1]
+                    fh.write((", " if start else "") + block)
+                fh.write("]")
+            fh.write("}")
 
     @classmethod
     def from_document(cls, doc: dict) -> "EmbeddedMesh":

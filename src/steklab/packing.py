@@ -46,7 +46,10 @@ from .spectral import (
     solve_steklov,
 )
 
-_CHUNK = 512
+# rows per all-atom distance sweep: 128 x 2,011 doubles is 2 MB
+_ROW_BLOCK = 128
+# rows per distance sweep against one set's atoms
+_NEAR_BLOCK = 4096
 COVERING_SAMPLES = 1000
 
 
@@ -111,10 +114,14 @@ class BoundaryMeasure:
     @cached_property
     def spacing(self) -> float:
         """Median nearest-neighbour distance among (up to 2000) atoms, measured once."""
-        sample = self.positions[: min(len(self), 2000)]
-        d = cdist(sample, self.positions)
-        np.fill_diagonal(d[:, : len(sample)], np.inf)
-        return float(np.median(d.min(axis=1)))
+        count = min(len(self), 2000)
+        nearest = np.empty(count)
+        for start in range(0, count, _ROW_BLOCK):
+            rows = np.arange(start, min(start + _ROW_BLOCK, count))
+            d = cdist(self.positions[rows], self.positions)
+            d[np.arange(len(rows)), rows] = np.inf
+            nearest[rows] = d.min(axis=1)
+        return float(np.median(nearest))
 
 
 def boundary_measure(mesh: EmbeddedMesh) -> BoundaryMeasure:
@@ -157,8 +164,8 @@ def max_ball_measure(measure: BoundaryMeasure, r: float) -> float:
     """sup over atom centers of the measure of the ball B(x, r)."""
     worst = 0.0
     pos, w = measure.positions, measure.weights
-    for start in range(0, len(pos), _CHUNK):
-        d = cdist(pos[start : start + _CHUNK], pos)
+    for start in range(0, len(pos), _ROW_BLOCK):
+        d = cdist(pos[start : start + _ROW_BLOCK], pos)
         worst = max(worst, float(((d <= r) * w).sum(axis=1).max()))
     return worst
 
@@ -273,6 +280,20 @@ def build_packing(
         )
     target = total / (2.0 * c_cover * num_sets)
     pos, w = measure.positions, measure.weights
+    tree = cKDTree(pos)
+    reach = 3.0 * r * (1.0 + 1e-9)
+
+    def absorb(j, dist_to_set):
+        """Lower dist_to_set to the distance from atom j on the atoms within 3r of it.
+
+        Only the frontier (<= r), its nearest atom and the moat (> 3r) are ever
+        read, so a distance beyond 3r of every member may stay at inf.
+        """
+        near = tree.query_ball_point(pos[j], reach)
+        dist_to_set[near] = np.minimum(
+            dist_to_set[near], np.linalg.norm(pos[near] - pos[j], axis=1)
+        )
+
     usable = np.ones(len(w), dtype=bool)
     sets, measures = [], []
     for _ in range(num_sets):
@@ -284,7 +305,8 @@ def build_packing(
         usable[seed_atom] = False
         members = [seed_atom]
         acc = float(w[seed_atom])
-        dist_to_set = np.linalg.norm(pos - pos[seed_atom], axis=1)
+        dist_to_set = np.full(len(w), np.inf)
+        absorb(seed_atom, dist_to_set)
         while acc < target:
             frontier = usable & (dist_to_set <= r)
             if not frontier.any():
@@ -298,7 +320,7 @@ def build_packing(
             usable[j] = False
             members.append(j)
             acc += float(w[j])
-            dist_to_set = np.minimum(dist_to_set, np.linalg.norm(pos - pos[j], axis=1))
+            absorb(j, dist_to_set)
         sets.append(np.array(members, dtype=np.int64))
         measures.append(acc)
         usable &= dist_to_set > 3.0 * r
@@ -368,8 +390,8 @@ def _distance_to_set(tree: cKDTree, set_positions: np.ndarray, r: float) -> np.n
     """Distance from each tree point to the set, inf beyond r (where g is 0)."""
     near = np.unique(np.concatenate(tree.query_ball_point(set_positions, r * (1.0 + 1e-9))))
     out = np.full(tree.n, np.inf)
-    for start in range(0, len(near), 8 * _CHUNK):
-        rows = near[start : start + 8 * _CHUNK]
+    for start in range(0, len(near), _NEAR_BLOCK):
+        rows = near[start : start + _NEAR_BLOCK]
         out[rows] = cdist(tree.data[rows], set_positions).min(axis=1)
     return out
 

@@ -94,7 +94,12 @@ def _assemble(mesh: EmbeddedMesh) -> tuple[csr_matrix, csr_matrix]:
     nv = mesh.n_vertices
     ginv = np.linalg.inv(simplex_grams(mesh.vertices, mesh.cells)[0])  # nondegenerate cells
     shape = _shape_derivatives(n)
-    kloc = np.einsum("ai,cab,bj->cij", shape, ginv, shape) * mesh.cell_volumes()[:, None, None]
+    # K_c[i, j] = sum_ab S[a, i] ginv_c[a, b] S[b, j] through the fixed table of
+    # S[a, i] S[b, j]: every product is +-ginv or 0 and the sum runs over (a, b)
+    # in the order einsum("ai,cab,bj->cij") takes, so K is bit for bit that form
+    table = np.einsum("ai,bj->abij", shape, shape).reshape(n * n, (n + 1) ** 2)
+    kloc = np.einsum("cq,qp->cp", ginv.reshape(-1, n * n), table).reshape(-1, n + 1, n + 1)
+    kloc *= mesh.cell_volumes()[:, None, None]
     rows = np.repeat(mesh.cells[:, :, None], n + 1, axis=2)
     cols = np.repeat(mesh.cells[:, None, :], n + 1, axis=1)
     stiffness = coo_matrix(

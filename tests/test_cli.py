@@ -632,14 +632,20 @@ def test_floating_point_noise_stays_off_stderr(tmp_path, capsys, disk_document, 
     assert err.startswith("numerical failure:" if expected == 3 else "precondition failure:")
 
 
-# vertex 0 lies on the boundary circle, vertex 22 inside the disk; at x = 1e308
-# their cells measure inf, and `index` used to exit 0 after LAPACK printed
-# "DLASCL parameter ... illegal value" lines straight to file descriptor 2
-@pytest.mark.parametrize("vertex", [0, 22])
+# vertex -> the coordinates set to 1e308.  Vertex 0 lies on the boundary
+# circle, vertex 22 inside the disk: their cells measure inf, and `index` used
+# to exit 0 after LAPACK printed "DLASCL parameter ... illegal value" lines
+# straight to file descriptor 2.  At vertex 20 a Gram determinant comes out
+# NaN, which used to read as a degenerate cell ("cell 33 has nonpositive volume")
+OVERFLOWING = {0: (0,), 22: (0,), 20: (0, 1)}
+
+
+@pytest.mark.parametrize("vertex", sorted(OVERFLOWING))
 @pytest.mark.parametrize("command", sorted(MESH_COMMANDS))
 def test_overflowing_mesh_measures_exit_4(tmp_path, capfd, disk_document, command, vertex):
     doc = json.loads(json.dumps(disk_document))
-    doc["vertices"][vertex][0] = 1e308
+    for axis in OVERFLOWING[vertex]:
+        doc["vertices"][vertex][axis] = 1e308
     mesh_path = tmp_path / "mesh.json"
     mesh_path.write_text(json.dumps(doc))
     out = tmp_path / "report.json"

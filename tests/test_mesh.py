@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from dataclasses import FrozenInstanceError
 
@@ -159,6 +160,17 @@ def test_validate_rejects_non_finite_vertex(value):
         single_triangle_mesh(vertices=verts)
 
 
+# vertex -> coordinates set to 1e308 in the h = 0.3 disk: inf cell measures at
+# vertices 0 and 22, a NaN Gram determinant at vertex 20
+@pytest.mark.parametrize("vertex, axes", [(0, (0,)), (22, (0,)), (20, (0, 1))])
+def test_overflowing_cell_measures_are_not_finite(vertex, axes):
+    doc = generate_mesh(FamilyDescriptor("ball-flat", h=0.3, n=2, delta=1.0)).to_document()
+    for axis in axes:
+        doc["vertices"][vertex][axis] = 1e308
+    with pytest.raises(MeshError, match="cell volumes or their total are not finite"):
+        EmbeddedMesh.from_document(doc)
+
+
 def test_document_roundtrip(tmp_path, annulus_mesh):
     path = tmp_path / "mesh.json"
     annulus_mesh.save(path)
@@ -168,6 +180,43 @@ def test_document_roundtrip(tmp_path, annulus_mesh):
     assert np.array_equal(back.boundary_faces, annulus_mesh.boundary_faces)
     assert list(back.face_tags) == list(annulus_mesh.face_tags)
     back.validate()
+
+
+def _nested_metadata_mesh():
+    mesh = generate_mesh(FamilyDescriptor("ball-flat", h=0.3, n=2, delta=1.0))
+    metadata = {
+        "family": "ball-flat",
+        "rings": [[0, 1, 2], [3, 4], []],
+        "grading": {"h": [0.3, 0.05], "tags": {"outer": STEKLOV, "seam": None}},
+        "scale": 1e-300,
+    }
+    return EmbeddedMesh(mesh.vertices, mesh.cells, mesh.boundary_faces, mesh.face_tags, metadata)
+
+
+SAVE_CASES = {
+    # more vertices, cells and faces than one SAVE_BLOCK (criterion 7's disk)
+    "graded-disk": lambda: generate_mesh(
+        FamilyDescriptor("ball-flat", h=0.15, n=2, delta=1.0, h_boundary=0.9 / 288)
+    ),
+    "closed-curve": lambda: generate_mesh(FamilyDescriptor("sphere-boundary", h=0.2, n=2, eps=1.0)),
+    "ball-n3": lambda: generate_mesh(FamilyDescriptor("ball-flat", h=0.35, n=3, delta=1.0)),
+    "nested-metadata": _nested_metadata_mesh,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAVE_CASES))
+def test_save_writes_the_one_shot_json_text(tmp_path, case):
+    mesh = SAVE_CASES[case]()
+    path = tmp_path / "mesh.json"
+    mesh.save(path)
+    text, expected = path.read_text(), json.dumps(mesh.to_document())
+    # compared outside the assert: pytest's diff of two megabyte strings takes minutes
+    identical = text == expected
+    assert identical, f"saved {len(text)} characters where json.dumps gives {len(expected)}"
+    back = EmbeddedMesh.load(path)
+    for name in ("vertices", "cells", "boundary_faces", "face_tags"):
+        assert np.array_equal(getattr(back, name), getattr(mesh, name))
+    assert back.metadata == mesh.metadata
 
 
 def test_document_has_required_fields(tmp_path, disk_mesh_coarse):

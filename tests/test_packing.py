@@ -254,6 +254,121 @@ def test_covering_constant_matches_direct_balls(dim, count, r, samples):
         assert empirical_covering_constant(positions, r, samples=samples, seed=seed) == expected
 
 
+def reference_spacing(measure):
+    """Median nearest-neighbour distance from one cdist over the first 2000 atoms."""
+    sample = measure.positions[: min(len(measure), 2000)]
+    d = cdist(sample, measure.positions)
+    np.fill_diagonal(d[:, : len(sample)], np.inf)
+    return float(np.median(d.min(axis=1)))
+
+
+def reference_max_ball_measure(measure, r):
+    """The ball-measure sweep in 512-row blocks."""
+    worst = 0.0
+    pos, w = measure.positions, measure.weights
+    for start in range(0, len(pos), 512):
+        d = cdist(pos[start : start + 512], pos)
+        worst = max(worst, float(((d <= r) * w).sum(axis=1).max()))
+    return worst
+
+
+def reference_build_packing(measure, r, num_sets, c_cover):
+    """The greedy packing with distances to each set swept over every atom."""
+    total = measure.total
+    cap = total / (4.0 * c_cover**2 * num_sets)
+    worst_ball = reference_max_ball_measure(measure, r)
+    if worst_ball > cap * (1.0 + 1e-12):
+        raise HypothesisViolation(
+            f"ball measure hypothesis fails: sup mu(B(x, r)) = {worst_ball:.3e} "
+            f"exceeds total/(4 C^2 K) = {cap:.3e} at r = {r:.3e}"
+        )
+    target = total / (2.0 * c_cover * num_sets)
+    pos, w = measure.positions, measure.weights
+    usable = np.ones(len(w), dtype=bool)
+    sets, measures = [], []
+    for _ in range(num_sets):
+        if not usable.any():
+            measures.append(0.0)
+            sets.append(np.zeros(0, dtype=np.int64))
+            continue
+        seed_atom = int(np.argmax(np.where(usable, w, -np.inf)))
+        usable[seed_atom] = False
+        members = [seed_atom]
+        acc = float(w[seed_atom])
+        dist_to_set = np.linalg.norm(pos - pos[seed_atom], axis=1)
+        while acc < target:
+            frontier = usable & (dist_to_set <= r)
+            if not frontier.any():
+                if not usable.any():
+                    break
+                j = int(np.argmax(np.where(usable, w, -np.inf)))
+            else:
+                j = int(np.argmin(np.where(frontier, dist_to_set, np.inf)))
+            usable[j] = False
+            members.append(j)
+            acc += float(w[j])
+            dist_to_set = np.minimum(dist_to_set, np.linalg.norm(pos - pos[j], axis=1))
+        sets.append(np.array(members, dtype=np.int64))
+        measures.append(acc)
+        usable &= dist_to_set > 3.0 * r
+    measures = np.array(measures)
+    if np.any(measures < target * (1.0 - 1e-12)):
+        achieved = ", ".join(f"{v:.4e}" for v in measures)
+        raise PreconditionError(
+            f"greedy packing failed to reach the target measure {target:.4e} "
+            f"for every set (achieved: {achieved}); retry with a finer mesh"
+        )
+    separation = min(
+        (float(cdist(pos[a], pos[b]).min()) for i, a in enumerate(sets) for b in sets[i + 1 :]),
+        default=np.inf,
+    )
+    return packing.PackingSets(r, sets, measures, separation, target)
+
+
+def _packing_outcome(build, measure, r, num_sets, c_cover):
+    try:
+        got = build(measure, r, num_sets, c_cover)
+    except (HypothesisViolation, PreconditionError) as exc:
+        return type(exc), str(exc)
+    sets = [s.tolist() for s in got.sets]
+    return got.r, sets, got.set_measures.tolist(), got.separation, got.target_measure
+
+
+# criterion 7's graded disk and cylinder (two boundary circles), about 2,011 atoms each
+GRADED = {
+    "disk": FamilyDescriptor("ball-flat", h=0.15, n=2, delta=1.0, h_boundary=0.9 / 288),
+    "cylinder": FamilyDescriptor(
+        "cylinder-surface", h=0.15, radius=1.0, length=1.0, h_boundary=0.9 / 144
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GRADED))
+def graded_measure(request):
+    return boundary_measure(generate_mesh(GRADED[request.param]))
+
+
+def test_spacing_and_ball_measures_match_full_sweeps(graded_measure):
+    spacing = reference_spacing(graded_measure)
+    assert graded_measure.spacing == spacing
+    for r in (0.5 * spacing, 1.11 * spacing, 2.22 * spacing, 12 * spacing, 0.5, 10.0):
+        assert max_ball_measure(graded_measure, r) == reference_max_ball_measure(graded_measure, r)
+
+
+# (r in atom spacings, num_sets, c_cover): below the spacing every absorption
+# reseeds, and 300 such sets run out of atoms; 1.11-2.22 are criterion 7's
+# radii at k = 3..1; 30 spacings breaks the ball-measure hypothesis
+@pytest.mark.parametrize(
+    "spacings, num_sets, c_cover",
+    [(0.5, 4, 3), (0.5, 300, 1), (1.11, 8, 3), (1.2, 150, 1), (1.48, 6, 3), (2.22, 4, 3),
+     (5.0, 8, 2), (30.0, 4, 3)],
+)
+def test_build_packing_matches_full_sweeps(graded_measure, spacings, num_sets, c_cover):
+    r = spacings * graded_measure.spacing
+    expected = _packing_outcome(reference_build_packing, graded_measure, r, num_sets, c_cover)
+    assert _packing_outcome(build_packing, graded_measure, r, num_sets, c_cover) == expected
+
+
 def fresh_copy(mesh):
     """The same mesh as a new object, so nothing derived from it is cached yet."""
     return EmbeddedMesh(mesh.vertices, mesh.cells, mesh.boundary_faces, mesh.face_tags)

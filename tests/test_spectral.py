@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import coo_matrix
 
 from conftest import random_rotation
 from steklab import spectral
@@ -60,6 +61,42 @@ def test_operators_assembled_once_per_mesh_and_read_only(disk_mesh_coarse):
     for matrix in (stiffness, mass):
         with pytest.raises(ValueError, match="read-only"):
             matrix.data[0] = 0.0
+
+
+def reference_stiffness(mesh):
+    """K from the three-operand einsum S^T ginv S per cell; the table form matches it bit for bit."""
+    n, nv = mesh.intrinsic_dim, mesh.n_vertices
+    ginv = np.linalg.inv(simplex_grams(mesh.vertices, mesh.cells)[0])
+    shape = np.hstack([-np.ones((n, 1)), np.eye(n)])
+    kloc = np.einsum("ai,cab,bj->cij", shape, ginv, shape) * mesh.cell_volumes()[:, None, None]
+    rows = np.repeat(mesh.cells[:, :, None], n + 1, axis=2)
+    cols = np.repeat(mesh.cells[:, None, :], n + 1, axis=1)
+    return coo_matrix((kloc.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)).tocsr()
+
+
+STIFFNESS_CASES = {
+    "interval-n1": interval_mesh,
+    "circle-n1": lambda: generate_mesh(FamilyDescriptor("sphere-boundary", h=0.05, n=2, eps=1.0)),
+    "graded-disk-n2": lambda: generate_mesh(
+        FamilyDescriptor("ball-flat", h=0.3, n=2, delta=1.0, h_boundary=0.05)
+    ),
+    "cylinder-n2": lambda: generate_mesh(
+        FamilyDescriptor("cylinder-surface", h=0.1, radius=1.0, length=1.0)
+    ),
+    "sphere-n2": lambda: generate_mesh(FamilyDescriptor("sphere-boundary", h=0.3, n=3, eps=1.0)),
+    "ball-n3": lambda: generate_mesh(FamilyDescriptor("ball-flat", h=0.35, n=3, delta=1.0)),
+    "annulus-n3": lambda: generate_mesh(
+        FamilyDescriptor("annulus-flat", h=0.5, n=3, eps=1.0, delta=2.0, h_boundary=0.3)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STIFFNESS_CASES))
+def test_stiffness_bit_identical_to_three_operand_einsum(case):
+    mesh = STIFFNESS_CASES[case]()
+    stiffness, reference = assemble_operators(mesh)[0], reference_stiffness(mesh)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(stiffness, name), getattr(reference, name))
 
 
 def test_stiffness_positive_semidefinite(disk_mesh_coarse):
