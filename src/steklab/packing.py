@@ -27,6 +27,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import (
+    SIZE_BUDGET,
     HypothesisViolation,
     PreconditionError,
     ResolutionError,
@@ -46,11 +47,34 @@ from .spectral import (
     solve_steklov,
 )
 
-# rows per all-atom distance sweep: 128 x 2,011 doubles is 2 MB
+# centres per neighbour query: at most 128 x N candidate pairs at any radius
 _ROW_BLOCK = 128
-# rows per distance sweep against one set's atoms
-_NEAR_BLOCK = 4096
+# padded pair entries per lock-step covering chunk (centres x L^2)
+_COVER_CHUNK = 2**16
 COVERING_SAMPLES = 1000
+
+
+def _distances(a, b) -> np.ndarray:
+    """|a - b| from a and b given one coordinate at a time, summed in cdist's (and norm's) order."""
+    total = 0.0
+    for a_c, b_c in zip(a, b):
+        total = total + (a_c - b_c) ** 2
+    return np.sqrt(total)
+
+
+def _neighbours(tree: cKDTree, points: np.ndarray, r: float):
+    """Yield (start, rows, near, dist): near[i] is dist[i] <= r from points[start + rows[i]].
+
+    One block of _ROW_BLOCK points at a time, sorted by row, then tree point.  The
+    KD-tree (Bentley 1975) only proposes the pairs within r(1 + 1e-9); d <= r decides.
+    """
+    for start in range(0, len(points), _ROW_BLOCK):
+        block = points[start : start + _ROW_BLOCK]
+        pairs = cKDTree(block).sparse_distance_matrix(tree, r * (1.0 + 1e-9), output_type="ndarray")
+        rows, near = np.divmod(np.sort(pairs["i"] * tree.n + pairs["j"]), tree.n)
+        dist = _distances((x[near] for x in tree.data.T), (x[rows] for x in block.T))
+        keep = dist <= r
+        yield start, rows[keep], near[keep], dist[keep]
 
 
 def literal_covering_constant(ambient_dim: int) -> int:
@@ -115,12 +139,12 @@ class BoundaryMeasure:
     def spacing(self) -> float:
         """Median nearest-neighbour distance among (up to 2000) atoms, measured once."""
         count = min(len(self), 2000)
-        nearest = np.empty(count)
-        for start in range(0, count, _ROW_BLOCK):
-            rows = np.arange(start, min(start + _ROW_BLOCK, count))
-            d = cdist(self.positions[rows], self.positions)
-            d[np.arange(len(rows)), rows] = np.inf
-            nearest[rows] = d.min(axis=1)
+        tree = cKDTree(self.positions)  # its nearest distances bound the exact search
+        reach = tree.query(self.positions[:count], k=2)[0][:, 1].max() * (1.0 + 1e-9)
+        nearest = np.full(count, np.inf)
+        for start, rows, atoms, dist in _neighbours(tree, self.positions[:count], reach):
+            other = atoms != start + rows
+            np.minimum.at(nearest, start + rows[other], dist[other])
         return float(np.median(nearest))
 
 
@@ -162,11 +186,15 @@ def choose_radius(
 
 def max_ball_measure(measure: BoundaryMeasure, r: float) -> float:
     """sup over atom centers of the measure of the ball B(x, r)."""
+    check("r", r, 0, strict=True)
     worst = 0.0
     pos, w = measure.positions, measure.weights
-    for start in range(0, len(pos), _ROW_BLOCK):
-        d = cdist(pos[start : start + _ROW_BLOCK], pos)
-        worst = max(worst, float(((d <= r) * w).sum(axis=1).max()))
+    # in a zero row over all atoms, the pairwise sum adds a dense sweep's terms in its order
+    dense = np.zeros((_ROW_BLOCK, len(pos)))
+    for _, rows, atoms, _ in _neighbours(cKDTree(pos), pos, r):
+        dense[rows, atoms] = w[atoms]
+        worst = max(worst, float(dense.sum(axis=1).max()))
+        dense[rows, atoms] = 0.0
     return worst
 
 
@@ -180,29 +208,36 @@ def empirical_covering_constant(
     most uncovered atoms.  Returns the worst count over the samples (an
     upper bound on the optimal covering number of the sampled balls).
     """
+    check("r", r, 0, strict=True)
+    check("samples", samples, 1, SIZE_BUDGET, integer=True)
     rng = np.random.default_rng(seed)
     count = len(positions)
     if count <= samples:
         centers = np.arange(count)
     else:
         centers = rng.choice(count, size=samples, replace=False)
-    # the tree only prefilters: membership is the exact norm test below
-    candidates = cKDTree(positions).query_ball_point(
-        positions[centers], r * (1.0 + 1e-9), return_sorted=True
-    )
     worst = 1
-    for i, idx in zip(centers, candidates):
-        idx = np.asarray(idx)
-        ball = positions[idx[np.linalg.norm(positions[idx] - positions[i], axis=1) <= r]]
-        pair = cdist(ball, ball) <= r / 2.0
-        remaining = np.ones(len(ball), dtype=bool)
-        used = 0
-        while remaining.any():
-            gains = (pair & remaining[None, :]).sum(axis=1)
-            j = int(np.argmax(gains))
-            remaining &= ~pair[j]
-            used += 1
-        worst = max(worst, used)
+    for _, rows, atoms, _ in _neighbours(cKDTree(positions), positions[centers], r):
+        # ball i fills slots 0..sizes[i]-1 of its row, its atoms in index order
+        sizes = np.bincount(rows)
+        slots = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        padded = np.zeros((len(sizes), sizes.max(), positions.shape[1]))
+        padded[rows, slots] = positions[atoms]
+        real = np.arange(sizes.max()) < sizes[:, None]
+        # greedy covers in lock-step, each chunk padded to its largest ball; a
+        # padded slot covers nothing, so np.argmax (first maximum) never takes it
+        step = max(1, _COVER_CHUNK // int(sizes.max()) ** 2)
+        for s in range(0, len(sizes), step):
+            width = sizes[s : s + step].max()
+            balls, left = padded[s : s + step, :width], real[s : s + step, :width].copy()
+            coords = np.moveaxis(balls, -1, 0)
+            pair = (_distances(coords[..., None], coords[:, :, None]) <= r / 2.0) & left[:, :, None]
+            used = np.zeros(len(balls), dtype=np.int64)
+            while left.any():
+                used += left.any(axis=1)
+                gains = (pair & left[:, None, :]).sum(axis=2)
+                left &= ~pair[np.arange(len(balls)), np.argmax(gains, axis=1)]
+            worst = max(worst, int(used.max()))
     return worst
 
 
@@ -269,6 +304,7 @@ def build_packing(
     floor and pairwise 3r separation) is re-verified directly before
     returning.
     """
+    check("r", r, 0, strict=True)
     check("num_sets", num_sets, 1, integer=True)
     total = measure.total
     cap = total / (4.0 * c_cover**2 * num_sets)
@@ -281,7 +317,12 @@ def build_packing(
     target = total / (2.0 * c_cover * num_sets)
     pos, w = measure.positions, measure.weights
     tree = cKDTree(pos)
-    reach = 3.0 * r * (1.0 + 1e-9)
+    pairs = tree.count_neighbors(tree, 3.0 * r * (1.0 + 1e-9))
+    check("the atom pairs within 3r", pairs, high=SIZE_BUDGET)
+    # atom j's neighbours within 3r are near[bounds[j]:bounds[j + 1]]
+    lists = [(start + rows, a, d) for start, rows, a, d in _neighbours(tree, pos, 3.0 * r)]
+    centre, near, near_dist = (np.concatenate(part) for part in zip(*lists))
+    bounds = np.searchsorted(centre, np.arange(len(w) + 1))
 
     def absorb(j, dist_to_set):
         """Lower dist_to_set to the distance from atom j on the atoms within 3r of it.
@@ -289,10 +330,8 @@ def build_packing(
         Only the frontier (<= r), its nearest atom and the moat (> 3r) are ever
         read, so a distance beyond 3r of every member may stay at inf.
         """
-        near = tree.query_ball_point(pos[j], reach)
-        dist_to_set[near] = np.minimum(
-            dist_to_set[near], np.linalg.norm(pos[near] - pos[j], axis=1)
-        )
+        rows = slice(bounds[j], bounds[j + 1])
+        dist_to_set[near[rows]] = np.minimum(dist_to_set[near[rows]], near_dist[rows])
 
     usable = np.ones(len(w), dtype=bool)
     sets, measures = [], []
@@ -332,12 +371,10 @@ def build_packing(
             f"greedy packing failed to reach the target measure {target:.4e} "
             f"for every set (achieved: {achieved}); retry with a finer mesh"
         )
-    separation = np.inf
-    for i in range(num_sets):
-        for j in range(i + 1, num_sets):
-            separation = min(
-                separation, float(cdist(pos[sets[i]], pos[sets[j]]).min())
-            )
+    separation = min(
+        (float(cdist(pos[a], pos[b]).min()) for i, a in enumerate(sets) for b in sets[i + 1 :]),
+        default=np.inf,
+    )
     if separation < 3.0 * r * (1.0 - 1e-12):
         raise SteklabError("internal error: moat construction violated 3r separation")
     return PackingSets(r, sets, measures, float(separation), target)
@@ -388,11 +425,9 @@ class PackingCertificate:
 
 def _distance_to_set(tree: cKDTree, set_positions: np.ndarray, r: float) -> np.ndarray:
     """Distance from each tree point to the set, inf beyond r (where g is 0)."""
-    near = np.unique(np.concatenate(tree.query_ball_point(set_positions, r * (1.0 + 1e-9))))
     out = np.full(tree.n, np.inf)
-    for start in range(0, len(near), _NEAR_BLOCK):
-        rows = near[start : start + _NEAR_BLOCK]
-        out[rows] = cdist(tree.data[rows], set_positions).min(axis=1)
+    for _, _, near, dist in _neighbours(tree, set_positions, r):
+        np.minimum.at(out, near, dist)
     return out
 
 
@@ -407,8 +442,10 @@ def certify_sigma_k(
 ) -> PackingCertificate:
     """Build the packing, its test functions, and the certified sigma_k bound.
 
-    The mesh keeps (K, B), the measure and its covering counts across k; the now
-    redundant `operators` and `fem_sigma_k` stay for the callers that pass them.
+    The mesh keeps (K, B), the vertex KD-tree, the measure and its covering
+    counts across k, so `operators` is redundant; it stays only until the
+    benchmark, which passes it, changes.  `fem_sigma_k` is not: without it each
+    k solves at k_max = k, and its sigma_k (and the payload) would move.
     """
     check("k", k, 1, integer=True)
     check("i_sigma", i_sigma, 1, integer=True)
@@ -432,7 +469,7 @@ def certify_sigma_k(
 
     vecs, quotients, owners = [], [], np.full(mesh.n_vertices, -1, dtype=np.int64)
     stiffness, mass = operators or assemble_operators(mesh)
-    tree = cKDTree(mesh.vertices)
+    tree = mesh.cached("vertex_tree", lambda m: cKDTree(m.vertices))
     for i, members in enumerate(packing.sets):
         dist = _distance_to_set(tree, measure.positions[members], r)
         g = np.maximum(0.0, 1.0 - dist / r)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ from scipy.spatial.distance import cdist
 
 from steklab import mesh as mesh_module
 from steklab import packing, spectral
-from steklab.errors import HypothesisViolation, PreconditionError, ResolutionError, UsageError
+from steklab.errors import (
+    SIZE_BUDGET,
+    HypothesisViolation,
+    PreconditionError,
+    ResolutionError,
+    UsageError,
+)
 from steklab.families import FamilyDescriptor, generate_mesh
 from steklab.packing import (
     BoundaryMeasure,
@@ -83,6 +90,38 @@ def test_empirical_covering_constant_on_circle():
     measure = uniform_circle_measure()
     c = empirical_covering_constant(measure.positions, 0.2, samples=200, seed=0)
     assert 2 <= c <= 4
+
+
+def no_tree(*args, **kwargs):
+    raise AssertionError("a KD-tree was built before the arguments were checked")
+
+
+@pytest.mark.parametrize("r", [math.nan, -1.0, 0.0, math.inf])
+def test_max_ball_measure_rejects_bad_radius(r, monkeypatch):
+    measure = uniform_circle_measure(200)
+    monkeypatch.setattr(packing, "cKDTree", no_tree)
+    with pytest.raises(UsageError, match="r must be positive"):
+        max_ball_measure(measure, r)
+
+
+@pytest.mark.parametrize("r", [math.nan, -1.0, 0.0, math.inf])
+def test_build_packing_rejects_bad_radius(r, monkeypatch):
+    measure = uniform_circle_measure(200)
+    monkeypatch.setattr(packing, "cKDTree", no_tree)
+    with pytest.raises(UsageError, match="r must be positive"):
+        build_packing(measure, r, 4, 2)
+
+
+@pytest.mark.parametrize(
+    "r, samples, name",
+    [(math.nan, 100, "r"), (-1.0, 100, "r"), (0.0, 100, "r"), (0.1, -3, "samples"),
+     (0.1, 0, "samples"), (0.1, 2.5, "samples"), (0.1, SIZE_BUDGET + 1, "samples")],
+)
+def test_covering_constant_rejects_bad_radius_and_samples(r, samples, name, monkeypatch):
+    positions = uniform_circle_measure(200).positions
+    monkeypatch.setattr(packing, "cKDTree", no_tree)
+    with pytest.raises(UsageError, match=f"^{name} must be"):
+        empirical_covering_constant(positions, r, samples=samples)
 
 
 def test_build_packing_on_uniform_circle():
@@ -245,6 +284,8 @@ def reference_distance_to_set(vertices, set_positions):
         (3, 1200, 0.3, 300),
         (2, 200, 3.0, 200),  # every ball is the whole cloud
         (3, 150, 3.0, 150),
+        (2, 0, 0.1, 1000),  # no atoms and one atom: a count of 1
+        (3, 1, 0.1, 1000),
     ],
 )
 def test_covering_constant_matches_direct_balls(dim, count, r, samples):
@@ -252,6 +293,46 @@ def test_covering_constant_matches_direct_balls(dim, count, r, samples):
     for seed in (0, 11):
         expected = reference_covering_constant(positions, r, samples=samples, seed=seed)
         assert empirical_covering_constant(positions, r, samples=samples, seed=seed) == expected
+
+
+def test_covering_constant_matches_direct_balls_at_the_probe_radius(graded_measure):
+    r = 12 * graded_measure.spacing  # criterion 7's probe radius
+    for seed in (0, 11):
+        expected = reference_covering_constant(graded_measure.positions, r, seed=seed)
+        assert empirical_covering_constant(graded_measure.positions, r, seed=seed) == expected
+
+
+def test_covering_constant_matches_direct_balls_when_gains_tie():
+    # a shuffled 6 x 6 unit lattice with every atom twice, so gains tie: at r = 3
+    # the first maximal gain (np.argmax) needs 6 balls, the last would need 5
+    grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(6.0)), axis=-1).reshape(-1, 2)
+    positions = np.random.default_rng(0).permutation(np.concatenate([grid, grid]))
+    for seed in (0, 11):
+        assert reference_covering_constant(positions, 3.0, seed=seed) == 6
+        assert empirical_covering_constant(positions, 3.0, seed=seed) == 6
+
+
+def peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# every ball below holds every atom, yet no call may hold an N^2 pair list:
+# at N = 2,011 one (i, j, d) list takes 47 rows of N doubles
+def test_ball_measure_memory_stays_within_row_blocks(graded_measure):
+    row = 8 * len(graded_measure)
+    peak = peak_bytes(lambda: max_ball_measure(graded_measure, 10.0))
+    assert peak < 20 * packing._ROW_BLOCK * row  # about 12 blocks of rows
+
+
+def test_covering_memory_stays_within_row_blocks():
+    cloud = np.random.default_rng(2200).random((200, 2))
+    peak = peak_bytes(lambda: empirical_covering_constant(cloud, 3.0, samples=200))
+    assert peak < 20 * packing._ROW_BLOCK * 8 * 200  # about 13, one ball's pair test included
 
 
 def reference_spacing(measure):
