@@ -5,14 +5,16 @@ Every run emits a JSON report (stdout or --out) echoing all parameters,
 and experiment tables additionally serialize to CSV with the fixed header
 k, epsilon, value, bound, satisfied.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure (including an
-arithmetic overflow), 4 precondition / hypothesis failure.
+Exit codes: 0 success, 2 usage error (including an output that cannot be
+written), 3 numerical failure (including an arithmetic overflow), 4
+precondition / hypothesis failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -69,8 +71,8 @@ def _emit(args, command, payload, seed=None, timer=None, table_rows=None):
         seed=seed,
         wall_times=timer.times if timer else {},
     )
-    write_report(doc, getattr(args, "out", None))
-    if table_rows is not None and getattr(args, "table", None):
+    write_report(doc, args.out)
+    if table_rows is not None and args.table:
         write_table(args.table, table_rows)
 
 
@@ -79,22 +81,9 @@ def _emit(args, command, payload, seed=None, timer=None, table_rows=None):
 
 
 def _cmd_mesh(args) -> int:
-    kind = _FAMILY_ALIASES.get(args.family, args.family)
-    if kind not in KINDS:
-        raise UsageError(f"unknown family {args.family!r}")
-    desc = FamilyDescriptor(
-        kind=kind,
-        h=args.h,
-        n=args.n,
-        eps=args.eps,
-        delta=args.delta,
-        radius=args.radius,
-        length=args.length,
-        circle_radius=args.circle_radius,
-        major_radius=args.major_radius,
-        minor_radius=args.minor_radius,
-        h_boundary=args.h_boundary,
-    )
+    # every descriptor field but the kind has a parser option of the same dest
+    sizes = {f.name: getattr(args, f.name) for f in fields(FamilyDescriptor) if f.name != "kind"}
+    desc = FamilyDescriptor(kind=_FAMILY_ALIASES.get(args.family, args.family), **sizes)
     timer = StageTimer()
     with timer.stage("generate"):
         mesh = generate_mesh(desc)
@@ -217,17 +206,15 @@ def _cmd_experiment(args) -> int:
     name = args.experiment
     timer = StageTimer()
     if name == "asymptotics":
-        count = args.k_hi + 2
+        count, n = args.k_hi + 2, 2
         if args.source == "disk":
             spectrum = closed_forms.disk_steklov_spectrum(args.radius, count)
             volume_sigma = 2.0 * np.pi * args.radius
-            n = 2
         else:
             pairs = closed_forms.sphere_laplace_spectrum(2, args.radius, count + 4)
             lams = closed_forms.expand_multiplicities(pairs)
             spectrum = closed_forms.cylinder_steklov_spectrum(lams, args.length, count)
             volume_sigma = 4.0 * np.pi * args.radius
-            n = 2
         with timer.stage("fit"):
             fit = bounds_mod.fit_asymptotics(spectrum, n, volume_sigma, args.k_lo, args.k_hi)
         rows = [
@@ -281,8 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"steklab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # --out on every leaf subcommand, --table on every experiment
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="report path (default stdout)")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--table", help="CSV output path")
 
-    p = sub.add_parser("mesh", help="generate a family mesh and its summary")
+    p = sub.add_parser("mesh", parents=[out], help="generate a family mesh and its summary")
     p.add_argument("--family", required=True, help="|".join(sorted({*_FAMILY_ALIASES, *KINDS})))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--eps", type=float)
@@ -295,68 +287,62 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--h-boundary", type=float)
     p.add_argument("--mesh-out", required=True, help="output mesh document path")
-    p.add_argument("--out", help="report path (default stdout)")
     p.set_defaults(func=_cmd_mesh)
 
-    p = sub.add_parser("spectrum", help="solve the Steklov eigenproblem on a mesh")
+    p = sub.add_parser(
+        "spectrum", parents=[out], help="solve the Steklov eigenproblem on a mesh"
+    )
     p.add_argument("--mesh", required=True)
     p.add_argument("--kind", choices=["steklov", "steklov-neumann"], default="steklov")
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--traces", help="CSV path for eigenvector boundary traces")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("oracle", help="closed-form reference values")
     osub = p.add_subparsers(dest="oracle", required=True)
 
-    o = osub.add_parser("annulus-sn")
+    o = osub.add_parser("annulus-sn", parents=[out])
     o.add_argument("--n", type=int, default=2)
     o.add_argument("--eps", type=float, required=True)
     o.add_argument("--delta", type=float, required=True)
     o.add_argument("--mode", type=int, default=1)
-    o.add_argument("--out")
     o.set_defaults(func=_cmd_oracle)
 
-    o = osub.add_parser("cylinder")
+    o = osub.add_parser("cylinder", parents=[out])
     o.add_argument("--L", dest="length", type=float, required=True)
     o.add_argument("--count", type=int, default=6)
     o.add_argument("--n", type=int, default=2, help="boundary sphere dimension parameter")
     o.add_argument("--radius", type=float, default=1.0)
     o.add_argument("--max-degree", type=int, default=64)
     o.add_argument("--lambdas", help="explicit comma-separated Laplace eigenvalues")
-    o.add_argument("--out")
     o.set_defaults(func=_cmd_oracle)
 
-    o = osub.add_parser("sphere-laplace")
+    o = osub.add_parser("sphere-laplace", parents=[out])
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--radius", type=float, default=1.0)
     o.add_argument("--max-degree", type=int, default=8)
-    o.add_argument("--out")
     o.set_defaults(func=_cmd_oracle)
 
-    o = osub.add_parser("disk")
+    o = osub.add_parser("disk", parents=[out])
     o.add_argument("--radius", type=float, default=1.0)
     o.add_argument("--count", type=int, default=7)
-    o.add_argument("--out")
     o.set_defaults(func=_cmd_oracle)
 
-    o = osub.add_parser("separated-mode")
+    o = osub.add_parser("separated-mode", parents=[out])
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--eps", type=float, required=True)
     o.add_argument("--delta", type=float, required=True)
     o.add_argument("--mu", type=float, required=True)
     o.add_argument("--lam", type=float, required=True)
     o.add_argument("--resolution", type=int, default=2048)
-    o.add_argument("--out")
     o.set_defaults(func=_cmd_oracle)
 
-    o = osub.add_parser("blowup-constant")
+    o = osub.add_parser("blowup-constant", parents=[out])
     o.add_argument("--n", type=int, required=True)
-    o.add_argument("--out")
     o.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("index", help="Monte Carlo intersection-index estimate")
+    p = sub.add_parser("index", parents=[out], help="Monte Carlo intersection-index estimate")
     p.add_argument("--mesh", required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -366,20 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="comma-separated polynomial degrees of one piece; repeat per piece",
     )
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_index)
 
-    p = sub.add_parser("certify", help="packing certificate for sigma_k")
+    p = sub.add_parser("certify", parents=[out], help="packing certificate for sigma_k")
     p.add_argument("--mesh", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--i-sigma", type=int, required=True)
     p.add_argument("--covering", default="empirical", help="empirical | literal | integer")
     p.add_argument("--d-ball", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("bounds", help="evaluate the explicit eigenvalue bounds")
+    p = sub.add_parser("bounds", parents=[out], help="evaluate the explicit eigenvalue bounds")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--volume-m", type=float, required=True)
@@ -393,39 +377,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--covering", default="literal", help="literal | integer")
     p.add_argument("--d-ball", type=float, default=1.0)
     p.add_argument("--check-identity", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("experiment", help="experiment drivers with CSV tables")
     esub = p.add_subparsers(dest="experiment", required=True)
 
-    e = esub.add_parser("asymptotics")
+    e = esub.add_parser("asymptotics", parents=[out, table])
     e.add_argument("--source", choices=["disk", "cylinder"], default="disk")
     e.add_argument("--radius", type=float, default=1.0)
     e.add_argument("--L", dest="length", type=float, default=1.0)
     e.add_argument("--k-lo", type=int, default=20)
     e.add_argument("--k-hi", type=int, default=200)
-    e.add_argument("--out")
-    e.add_argument("--table", help="CSV output path")
     e.set_defaults(func=_cmd_experiment)
 
-    e = esub.add_parser("blowup")
+    e = esub.add_parser("blowup", parents=[out, table])
     e.add_argument("--n", type=int, default=3)
     e.add_argument("--eps", required=True, help="comma-separated epsilons in (0, 1)")
     e.add_argument("--max-degree", type=int, default=12)
     e.add_argument("--max-circle-mode", type=int, default=12)
     e.add_argument("--resolution", type=int, default=1024)
-    e.add_argument("--out")
-    e.add_argument("--table")
     e.set_defaults(func=_cmd_experiment)
 
-    e = esub.add_parser("obstruction")
+    e = esub.add_parser("obstruction", parents=[out, table])
     e.add_argument("--n", type=int, default=2)
     e.add_argument("--beta", type=float, default=0.0)
     e.add_argument("--k-min", type=int, default=10)
     e.add_argument("--k-max", type=int, default=200)
-    e.add_argument("--out")
-    e.add_argument("--table")
     e.set_defaults(func=_cmd_experiment)
 
     return parser
@@ -441,6 +418,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # mesh reads raise UsageError, so this is a write of an output
+        print(f"usage error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (NumericalError, ArithmeticError) as exc:  # or an overflow no check anticipated
         print(f"numerical failure: {exc}", file=sys.stderr)

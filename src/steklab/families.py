@@ -29,7 +29,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, Delaunay
 
 from .errors import SIZE_BUDGET, ResolutionError, UsageError, check
-from .euclidean import unit_sphere_area
+from .euclidean import unit_ball_volume, unit_sphere_area
 from .mesh import NEUMANN, STEKLOV, EmbeddedMesh, boundary_facets
 
 _GRADING_RATIO = 1.3
@@ -63,7 +63,7 @@ class FamilyDescriptor:
     def __post_init__(self):
         family = _FAMILIES.get(self.kind)
         if family is None:
-            raise UsageError(f"unknown family kind {self.kind!r}")
+            raise UsageError(f"unknown family {self.kind!r}")
         for name in ("h", "h_boundary", "radius", "length", "circle_radius", "major_radius",
                      "minor_radius", "delta", "eps"):
             value = getattr(self, name)
@@ -138,6 +138,13 @@ def _fibonacci_sphere(count: int, radius: float) -> np.ndarray:
     return radius * np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
 
 
+def _shells(radii, h: float) -> list[np.ndarray]:
+    """One Fibonacci sphere per radius, at least 14 points each, about h apart."""
+    return [
+        _fibonacci_sphere(max(14, int(round(4.0 * math.pi * r * r / (h * h)))), r) for r in radii
+    ]
+
+
 def _bounded_mesh(points, cells, metadata, steklov=None) -> EmbeddedMesh:
     """Mesh whose boundary faces are the cells' free facets.
 
@@ -184,27 +191,20 @@ def _band_cells(ring_ids: list[np.ndarray]) -> np.ndarray:
 # planar building blocks
 
 
-def _polar_rings(eps: float, delta: float, h: float, h_fine: Optional[float]):
-    """Radii and angular count of a structured polar lattice graded fine at radius eps."""
+def _structured_annulus(eps, delta, h, h_fine=None):
+    """Structured ring-lattice triangle mesh of the planar annulus, graded fine at radius eps.
+
+    Returns (points, triangles, inner_ring_ids, outer_ring_ids).
+    """
     h_radial = None if h_fine is None else min(h, _NORMAL_TO_TANGENT * h_fine)
-    offsets = _graded_offsets(delta - eps, h, h_radial)
-    radii = eps + offsets
+    radii = eps + _graded_offsets(delta - eps, h, h_radial)
     ntheta = max(
         _angular_count(2.0 * math.pi * delta, h),
         _angular_count(2.0 * math.pi * eps, h_fine if h_fine else h),
     )
-    return radii, ntheta
-
-
-def _structured_annulus(eps, delta, h, h_fine=None):
-    """Structured ring-lattice triangle mesh of the planar annulus.
-
-    Returns (points, triangles, inner_ring_ids, outer_ring_ids, ntheta).
-    """
-    radii, ntheta = _polar_rings(eps, delta, h, h_fine)
     points = _rings(2.0 * math.pi * np.arange(ntheta) / ntheta, radii).reshape(-1, 2)
     ring_ids = np.arange(len(points)).reshape(len(radii), ntheta)
-    return points, _band_cells(ring_ids), ring_ids[0], ring_ids[-1], ntheta
+    return points, _band_cells(ring_ids), ring_ids[0], ring_ids[-1]
 
 
 def _delaunay_disk(delta: float, h: float, boundary_count: Optional[int] = None):
@@ -231,9 +231,7 @@ def _delaunay_disk(delta: float, h: float, boundary_count: Optional[int] = None)
         angles = 2.0 * math.pi * (np.arange(count) + stagger) / count
         pts.append(np.column_stack([r * np.cos(angles), r * np.sin(angles)]))
     points = np.vstack(pts)
-    tris = Delaunay(points).simplices.astype(np.int64)
-    first_ring = len(pts[0])
-    return points, tris, first_ring
+    return points, Delaunay(points).simplices.astype(np.int64)
 
 
 def _structured_disk(delta: float, h: float, h_fine: float):
@@ -246,7 +244,7 @@ def _structured_disk(delta: float, h: float, h_fine: float):
     ring_ids = np.arange(len(rings)).reshape(len(radii), ntheta)
     inner = ring_ids[-1]
     fan = np.column_stack([inner, np.roll(inner, -1), np.full(ntheta, len(rings))])
-    return points, np.vstack([_band_cells(ring_ids), fan]), ring_ids[0]
+    return points, np.vstack([_band_cells(ring_ids), fan])
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +256,13 @@ def _mesh_ball(desc: FamilyDescriptor) -> EmbeddedMesh:
     _require_resolved(delta, desc.h, "boundary sphere")
     if desc.n == 2:
         if desc.h_boundary is not None and desc.h_boundary < desc.h:
-            points, tris, _ = _structured_disk(delta, desc.h, desc.h_boundary)
+            points, tris = _structured_disk(delta, desc.h, desc.h_boundary)
         else:
-            points, tris, _ = _delaunay_disk(delta, desc.h)
+            points, tris = _delaunay_disk(delta, desc.h)
         return _bounded_mesh(points, tris, {"family": "ball-flat", "n": 2})
     # n = 3: layered Fibonacci shells plus the center, Delaunay-filled
-    offsets = _graded_offsets(delta, desc.h, desc.h_boundary)
-    radii = delta - offsets
-    layers = [np.zeros((1, 3))]
-    for r in radii:
-        if r <= 1e-12 * delta:
-            continue
-        count = max(14, int(round(4.0 * math.pi * r * r / (desc.h * desc.h))))
-        layers.append(_fibonacci_sphere(count, r))
-    points = np.vstack(layers)
+    radii = delta - _graded_offsets(delta, desc.h, desc.h_boundary)
+    points = np.vstack([np.zeros((1, 3)), *_shells(radii[radii > 1e-12 * delta], desc.h)])
     tets = Delaunay(points).simplices.astype(np.int64)
     return _bounded_mesh(points, tets, {"family": "ball-flat", "n": 3})
 
@@ -280,22 +271,15 @@ def _mesh_annulus(desc: FamilyDescriptor) -> EmbeddedMesh:
     eps, delta = desc.eps, desc.delta
     _require_resolved(eps, desc.h, "inner sphere")
     if desc.n == 2:
-        points, tris, inner, outer, _ = _structured_annulus(
-            eps, delta, desc.h, desc.h_boundary
-        )
+        points, tris, inner, _ = _structured_annulus(eps, delta, desc.h, desc.h_boundary)
         return _bounded_mesh(
             points, tris, {"family": "annulus-flat", "n": 2},
             lambda faces: np.isin(faces, inner).all(axis=1),
         )
     # n = 3: spherical shell; Delaunay fills the hole, drop the hole tets
-    offsets = _graded_offsets(delta - eps, desc.h, desc.h_boundary)
-    radii = eps + offsets
+    radii = eps + _graded_offsets(delta - eps, desc.h, desc.h_boundary)
     gap = radii[1] - radii[0]
-    layers = []
-    for r in radii:
-        count = max(14, int(round(4.0 * math.pi * r * r / (desc.h * desc.h))))
-        layers.append(_fibonacci_sphere(count, r))
-    points = np.vstack(layers)
+    points = np.vstack(_shells(radii, desc.h))
     tets = Delaunay(points).simplices.astype(np.int64)
     vertex_r = np.linalg.norm(points, axis=1)
     keep = ~np.all(vertex_r[tets] < eps + 0.5 * gap, axis=1)
@@ -362,12 +346,10 @@ def _mesh_revolution_closure(desc: FamilyDescriptor) -> EmbeddedMesh:
     eps, delta, h = desc.eps, desc.delta, desc.h
     _require_resolved(eps, h, "inner circle")
 
-    ann_pts, ann_tris, ann_inner, ann_outer, ntheta = _structured_annulus(
-        eps, delta, h, desc.h_boundary
-    )
+    ann_pts, ann_tris, _, seam_bottom = _structured_annulus(eps, delta, h, desc.h_boundary)
+    ntheta = len(seam_bottom)
     vertices = [np.column_stack([ann_pts, -np.ones(len(ann_pts))])]
     offset = len(ann_pts)
-    seam_bottom = ann_outer
 
     # collar ((delta + cos f) cos t, (delta + cos f) sin t, sin f), f in [-pi/2, pi/2]
     nphi = max(4, int(math.ceil(math.pi / h)))
@@ -384,11 +366,11 @@ def _mesh_revolution_closure(desc: FamilyDescriptor) -> EmbeddedMesh:
     offset += nphi * ntheta
     seam_top = ring_ids[-1]
 
-    # cap: disk of radius delta at x3 = +1, reusing the seam ring
-    disk_pts, disk_tris, first_ring = _delaunay_disk(delta, h, boundary_count=ntheta)
+    # cap: disk of radius delta at x3 = +1, reusing the seam ring as its first ring
+    disk_pts, disk_tris = _delaunay_disk(delta, h, boundary_count=ntheta)
     local_to_global = np.empty(len(disk_pts), dtype=np.int64)
-    local_to_global[:first_ring] = seam_top
-    interior = np.arange(first_ring, len(disk_pts))
+    local_to_global[:ntheta] = seam_top
+    interior = np.arange(ntheta, len(disk_pts))
     local_to_global[interior] = offset + np.arange(len(interior))
     vertices.append(np.column_stack([disk_pts[interior], np.ones(len(interior))]))
 
@@ -414,10 +396,8 @@ def _mesh_product_annulus_circle(desc: FamilyDescriptor) -> EmbeddedMesh:
     """
     eps, delta, big_r = desc.eps, desc.delta, desc.circle_radius
     _require_resolved(eps, desc.h, "inner sphere")
-    ann_pts, ann_tris, inner, outer, _ = _structured_annulus(
-        eps, delta, desc.h, desc.h_boundary
-    )
-    ns = max(_MIN_ANGULAR, int(math.ceil(2.0 * math.pi * big_r / desc.h)))
+    ann_pts, ann_tris, _, _ = _structured_annulus(eps, delta, desc.h, desc.h_boundary)
+    ns = _angular_count(2.0 * math.pi * big_r, desc.h)
     thetas = 2.0 * math.pi * np.arange(ns) / ns
     na = len(ann_pts)
     circ = np.column_stack([big_r * np.cos(thetas), big_r * np.sin(thetas)])
@@ -445,17 +425,49 @@ class _Family:
     ns: Optional[tuple]  # the values of n it is meshed for; None: n is unused
     dim: Callable[[int], int]  # intrinsic dimension of the mesh, given n
     generate: Callable[[FamilyDescriptor], EmbeddedMesh]
+    volumes: Callable[[FamilyDescriptor], tuple]  # exact (|M|, |Steklov part of the boundary|)
+    # analytic injectivity radius of the boundary, for the families that have it in closed form
+    injectivity: Optional[Callable[[FamilyDescriptor], float]] = None
 
 
 _FAMILIES = {
-    "ball-flat": _Family(("delta",), (2, 3), lambda n: n, _mesh_ball),
-    "annulus-flat": _Family(("eps", "delta"), (2, 3), lambda n: n, _mesh_annulus),
-    "cylinder-surface": _Family(("radius", "length"), None, lambda n: 2, _mesh_cylinder),
-    "sphere-boundary": _Family(("eps",), (2, 3), lambda n: n - 1, _mesh_sphere),
-    "torus-surface": _Family(("major_radius", "minor_radius"), None, lambda n: 2, _mesh_torus),
-    "revolution-closure": _Family(("eps", "delta"), (2,), lambda n: 2, _mesh_revolution_closure),
+    "ball-flat": _Family(
+        ("delta",), (2, 3), lambda n: n, _mesh_ball,
+        lambda d: (unit_ball_volume(d.n) * d.delta**d.n,
+                   unit_sphere_area(d.n - 1) * d.delta ** (d.n - 1)),
+    ),
+    "annulus-flat": _Family(
+        ("eps", "delta"), (2, 3), lambda n: n, _mesh_annulus,
+        lambda d: (unit_ball_volume(d.n) * (d.delta**d.n - d.eps**d.n),
+                   unit_sphere_area(d.n - 1) * d.eps ** (d.n - 1)),
+    ),
+    "cylinder-surface": _Family(
+        ("radius", "length"), None, lambda n: 2, _mesh_cylinder,
+        lambda d: (2.0 * math.pi * d.radius * d.length, 4.0 * math.pi * d.radius),
+        lambda d: math.pi * d.radius,  # the boundary circles have the given radius
+    ),
+    "sphere-boundary": _Family(
+        ("eps",), (2, 3), lambda n: n - 1, _mesh_sphere,
+        lambda d: (unit_sphere_area(d.n - 1) * d.eps ** (d.n - 1), 0.0),
+        lambda d: math.pi * d.eps,  # closed: the radius of the sphere itself
+    ),
+    "torus-surface": _Family(
+        ("major_radius", "minor_radius"), None, lambda n: 2, _mesh_torus,
+        lambda d: (4.0 * math.pi**2 * d.major_radius * d.minor_radius, 0.0),
+    ),
+    "revolution-closure": _Family(
+        ("eps", "delta"), (2,), lambda n: 2, _mesh_revolution_closure,
+        # annulus, disk cap and half-torus collar
+        lambda d: (math.pi * (d.delta * d.delta - d.eps * d.eps) + math.pi * d.delta * d.delta
+                   + 2.0 * math.pi * (math.pi * d.delta + 2.0), 2.0 * math.pi * d.eps),
+    ),
     "product-annulus-circle": _Family(
-        ("eps", "delta", "circle_radius"), (2,), lambda n: 3, _mesh_product_annulus_circle
+        ("eps", "delta", "circle_radius"), (2,), lambda n: 3, _mesh_product_annulus_circle,
+        lambda d: (math.pi * (d.delta * d.delta - d.eps * d.eps)
+                   * (2.0 * math.pi * d.circle_radius),
+                   2.0 * math.pi * d.eps * (2.0 * math.pi * d.circle_radius)),
+        # the boundary is S^(n-1)_eps x S^1_R
+        lambda d: math.pi * min(d.eps, d.circle_radius),
     ),
 }
 KINDS = tuple(_FAMILIES)
@@ -482,49 +494,13 @@ def generate_mesh(desc: FamilyDescriptor) -> EmbeddedMesh:
 
 def exact_volumes(desc: FamilyDescriptor) -> tuple[float, float]:
     """(volume of M, volume of the Steklov part of the boundary), exact."""
-    n = desc.n
-    if desc.kind == "ball-flat":
-        d = desc.delta
-        if n == 2:
-            return math.pi * d * d, 2.0 * math.pi * d
-        return 4.0 / 3.0 * math.pi * d**3, 4.0 * math.pi * d * d
-    if desc.kind == "annulus-flat":
-        e, d = desc.eps, desc.delta
-        if n == 2:
-            return math.pi * (d * d - e * e), 2.0 * math.pi * e
-        return 4.0 / 3.0 * math.pi * (d**3 - e**3), 4.0 * math.pi * e * e
-    if desc.kind == "cylinder-surface":
-        rho, length = desc.radius, desc.length
-        return 2.0 * math.pi * rho * length, 4.0 * math.pi * rho
-    if desc.kind == "sphere-boundary":
-        return unit_sphere_area(n - 1) * desc.eps ** (n - 1), 0.0
-    if desc.kind == "torus-surface":
-        return 4.0 * math.pi**2 * desc.major_radius * desc.minor_radius, 0.0
-    if desc.kind == "revolution-closure":
-        e, d = desc.eps, desc.delta
-        annulus = math.pi * (d * d - e * e)
-        cap = math.pi * d * d
-        collar = 2.0 * math.pi * (math.pi * d + 2.0)
-        return annulus + cap + collar, 2.0 * math.pi * e
-    e, d, big_r = desc.eps, desc.delta, desc.circle_radius  # product-annulus-circle
-    circ = 2.0 * math.pi * big_r
-    return math.pi * (d * d - e * e) * circ, 2.0 * math.pi * e * circ
+    return _FAMILIES[desc.kind].volumes(desc)
 
 
 def injectivity_radius(desc: FamilyDescriptor) -> Optional[float]:
-    """Analytic injectivity radius of the relevant boundary, family cases only.
-
-    sphere-boundary: pi*eps of the sphere itself; product-annulus-circle:
-    the boundary is S^(n-1)_eps x S^1_R, so min(pi*eps, pi*R);
-    cylinder-surface: boundary circles of the given radius, so pi*radius.
-    """
-    if desc.kind == "sphere-boundary":
-        return math.pi * desc.eps
-    if desc.kind == "product-annulus-circle":
-        return math.pi * min(desc.eps, desc.circle_radius)
-    if desc.kind == "cylinder-surface":
-        return math.pi * desc.radius
-    return None
+    """Analytic injectivity radius of the boundary; None where the family has no closed form."""
+    closed_form = _FAMILIES[desc.kind].injectivity
+    return None if closed_form is None else closed_form(desc)
 
 
 def geometric_summary(

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import NumericalError
+from .errors import NumericalError, UsageError
 
 REPORT_SCHEMA_VERSION = 1
 TABLE_HEADER = ["k", "epsilon", "value", "bound", "satisfied"]
@@ -79,6 +79,8 @@ def write_report(doc: dict, path=None) -> None:
     except ValueError as exc:
         raise NumericalError(f"the report holds a non-finite number ({exc})") from exc
     if path is None:
+        if sys.stdout is None:  # started with file descriptor 1 closed
+            raise UsageError("cannot write the report: there is no standard output")
         sys.stdout.write(text + "\n")
     else:
         with open(path, "w") as fh:

@@ -1,8 +1,12 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +14,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import steklab
 from steklab import spectral
 from steklab.cli import main
 from steklab.errors import UsageError
+from steklab.families import FamilyDescriptor, generate_mesh
 from steklab.intersection import concentration_audit, estimate_index
 from steklab.mesh import EmbeddedMesh
 from steklab.packing import ConstantsConfig, certify_sigma_k
@@ -847,3 +853,86 @@ def test_corrupted_mesh_documents_never_escape(tmp_path, capsys, disk_document, 
         _strict_json(out.read_text())
     else:
         assert not out.exists()
+
+
+# -- output options ---------------------------------------------------------------
+
+# one successful run of every leaf subcommand; {dir} is a scratch directory and
+# {mesh} a boundary-graded disk document
+LEAF_COMMANDS = {
+    "mesh": ["mesh", "--family", "disk", "--delta", "1", "--h", "0.3",
+             "--mesh-out", "{dir}/m.json"],
+    "spectrum": ["spectrum", "--mesh", "{mesh}", "--kmax", "2", "--traces", "{dir}/t.csv"],
+    "index": ["index", "--mesh", "{mesh}", "--samples", "20"],
+    "certify": ["certify", "--mesh", "{mesh}", "--k", "1", "--i-sigma", "2"],
+    "bounds": BOUNDS_ARGS,
+    "oracle annulus-sn": ["oracle", "annulus-sn", "--eps", "1", "--delta", "2"],
+    "oracle cylinder": ["oracle", "cylinder", "--L", "1"],
+    "oracle sphere-laplace": ["oracle", "sphere-laplace", "--n", "2"],
+    "oracle disk": ["oracle", "disk"],
+    "oracle separated-mode": ["oracle", "separated-mode", "--n", "2", "--eps", "1", "--delta",
+                              "2", "--mu", "1", "--lam", "1", "--resolution", "256"],
+    "oracle blowup-constant": ["oracle", "blowup-constant", "--n", "3"],
+    "experiment asymptotics": ["experiment", "asymptotics", "--k-hi", "40",
+                               "--table", "{dir}/a.csv"],
+    "experiment blowup": ["experiment", "blowup", "--eps", "0.4", "--max-degree", "4",
+                          "--max-circle-mode", "4", "--resolution", "256",
+                          "--table", "{dir}/b.csv"],
+    "experiment obstruction": ["experiment", "obstruction", "--k-max", "40",
+                               "--table", "{dir}/o.csv"],
+}
+# (leaf subcommand, one of its output options)
+OUTPUTS = [
+    (command, option)
+    for command, argv in sorted(LEAF_COMMANDS.items())
+    for option in ("--out", "--mesh-out", "--traces", "--table")
+    if option == "--out" or option in argv
+]
+
+
+@pytest.fixture(scope="module")
+def graded_disk(tmp_path_factory):
+    path = tmp_path_factory.mktemp("graded") / "disk.json"
+    desc = FamilyDescriptor("ball-flat", h=0.3, n=2, delta=1.0, h_boundary=0.9 / 144)
+    generate_mesh(desc).save(path)
+    return path
+
+
+def _leaf_argv(command, directory, mesh):
+    return [arg.format(dir=directory, mesh=mesh) for arg in LEAF_COMMANDS[command]]
+
+
+@pytest.mark.parametrize("command", sorted(LEAF_COMMANDS))
+def test_out_receives_the_report_of_every_leaf_subcommand(tmp_path, capsys, graded_disk, command):
+    out = tmp_path / "report.json"
+    assert run(_leaf_argv(command, tmp_path, graded_disk) + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert read_json(out)["command"] == command
+
+
+@pytest.mark.parametrize("fault", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command, option", OUTPUTS)
+def test_unwritable_output_exits_2(tmp_path, capsys, graded_disk, command, option, fault):
+    argv = _leaf_argv(command, tmp_path, graded_disk)
+    target = tmp_path / "absent" / "x.out" if fault == "missing-directory" else tmp_path
+    if option == "--out":
+        argv += ["--out", str(target)]
+    else:
+        argv[argv.index(option) + 1] = str(target)
+    code, err = run_clean(argv, capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"usage error: cannot write {target}: ")
+
+
+def test_closed_standard_output_exits_2():
+    src = str(Path(steklab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # the shell closes file descriptor 1 before it starts the interpreter
+    argv = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "steklab.cli",
+            "oracle", "disk"]
+    proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "usage error: cannot write the report: there is no standard output"
+    ]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from steklab.errors import ResolutionError, UsageError
+from steklab.euclidean import unit_sphere_area
 from steklab.families import (
     FamilyDescriptor,
     exact_volumes,
@@ -119,6 +120,73 @@ def test_injectivity_radii():
     ball = FamilyDescriptor("ball-flat", h=0.1, n=2, delta=1.0)
     assert injectivity_radius(ball) is None
     assert geometric_summary(generate_mesh(ball), ball).injectivity_radius is None
+    # the remaining families have no closed form in the table
+    for desc in [
+        FamilyDescriptor("annulus-flat", h=0.1, n=3, eps=0.5, delta=1.0),
+        FamilyDescriptor("torus-surface", h=0.1, major_radius=2.0, minor_radius=1.0),
+        FamilyDescriptor("revolution-closure", h=0.1, eps=0.5, delta=2.0),
+    ]:
+        assert injectivity_radius(desc) is None
+
+
+def _reference_volumes(d):
+    """The exact volumes written out one kind at a time, independently of the table."""
+    n, e, dl = d.n, d.eps, d.delta
+    if d.kind == "ball-flat":
+        if n == 2:
+            return math.pi * dl * dl, 2.0 * math.pi * dl
+        return 4.0 / 3.0 * math.pi * dl**3, 4.0 * math.pi * dl * dl
+    if d.kind == "annulus-flat":
+        if n == 2:
+            return math.pi * (dl * dl - e * e), 2.0 * math.pi * e
+        return 4.0 / 3.0 * math.pi * (dl**3 - e**3), 4.0 * math.pi * e * e
+    if d.kind == "cylinder-surface":
+        return 2.0 * math.pi * d.radius * d.length, 4.0 * math.pi * d.radius
+    if d.kind == "sphere-boundary":
+        return unit_sphere_area(n - 1) * e ** (n - 1), 0.0
+    if d.kind == "torus-surface":
+        return 4.0 * math.pi**2 * d.major_radius * d.minor_radius, 0.0
+    if d.kind == "revolution-closure":
+        annulus, cap = math.pi * (dl * dl - e * e), math.pi * dl * dl
+        return annulus + cap + 2.0 * math.pi * (math.pi * dl + 2.0), 2.0 * math.pi * e
+    circ = 2.0 * math.pi * d.circle_radius  # product-annulus-circle
+    return math.pi * (dl * dl - e * e) * circ, 2.0 * math.pi * e * circ
+
+
+def _reference_injectivity(d):
+    if d.kind == "sphere-boundary":
+        return math.pi * d.eps
+    if d.kind == "product-annulus-circle":
+        return math.pi * min(d.eps, d.circle_radius)
+    if d.kind == "cylinder-surface":
+        return math.pi * d.radius
+    return None
+
+
+def _descriptors():
+    """Every kind at every n it is meshed for, on a small grid of sizes."""
+    for a, b in [(0.3, 1.7), (1.0, 2.5), (0.7, 0.9)]:
+        for n in (2, 3):
+            yield FamilyDescriptor("ball-flat", h=0.1, n=n, delta=b)
+            yield FamilyDescriptor("annulus-flat", h=0.1, n=n, eps=a, delta=b)
+            yield FamilyDescriptor("sphere-boundary", h=0.1, n=n, eps=a)
+        yield FamilyDescriptor("cylinder-surface", h=0.1, radius=a, length=b)
+        yield FamilyDescriptor("torus-surface", h=0.1, major_radius=b, minor_radius=a)
+        yield FamilyDescriptor("revolution-closure", h=0.1, eps=a, delta=b)
+        for big_r in (0.5 * a, 2.0 * b):
+            yield FamilyDescriptor(
+                "product-annulus-circle", h=0.1, eps=a, delta=b, circle_radius=big_r
+            )
+
+
+def test_table_closed_forms_match_the_reference():
+    for desc in _descriptors():
+        # the flat families take omega_n and |S^(n-1)| from their gamma-function
+        # formulas, which may round a few ulp away from the literal constants
+        ulps = 2 if desc.kind in ("ball-flat", "annulus-flat") else 0
+        for got, want in zip(exact_volumes(desc), _reference_volumes(desc)):
+            assert abs(got - want) <= ulps * math.ulp(want), (desc, got, want)
+        assert injectivity_radius(desc) == _reference_injectivity(desc)
 
 
 def test_summary_isoperimetric_ratio(disk_mesh_coarse):
