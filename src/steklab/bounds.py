@@ -416,9 +416,6 @@ class ObstructionRow:
     volume_m: float
     value: float
 
-    def to_payload(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ObstructionResult:
@@ -429,7 +426,7 @@ class ObstructionResult:
     consistent: bool
 
     def to_payload(self) -> dict:
-        return asdict(self)  # the rows become their payloads too
+        return asdict(self)  # asdict converts the rows too
 
 
 def obstruction_experiment(

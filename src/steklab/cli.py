@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import __version__, bounds as bounds_mod, closed_forms, intersection, pac
 from .errors import MeshError, NumericalError, PreconditionError, SteklabError, UsageError
 from .families import KINDS, FamilyDescriptor, generate_mesh, geometric_summary
 from .mesh import EmbeddedMesh
-from .report import StageTimer, run_report, write_boundary_traces, write_report, write_table
+from .report import run_report, write_boundary_traces, write_report, write_table
 from .spectral import SpectralProblem, solve_steklov
 
 # short names accepted by --family next to the family kinds themselves
@@ -45,17 +46,14 @@ def _number_list(text: str, kind=float) -> list:
         raise UsageError(f"{text!r} is not a comma-separated list of numbers") from None
 
 
-def _covering_config(args) -> packing.ConstantsConfig:
-    choice, d_ball = args.covering, args.d_ball
-    if choice == "empirical":
-        return packing.ConstantsConfig(use_empirical=True, d_ball=d_ball)
-    if choice == "literal":
-        return packing.ConstantsConfig(use_empirical=False, d_ball=d_ball)
+def _covering_config(choice: str, **extra) -> packing.ConstantsConfig:
+    if choice in ("empirical", "literal"):
+        return packing.ConstantsConfig(use_empirical=choice == "empirical", **extra)
     try:
         value = int(choice)
     except ValueError:
         raise UsageError(f"--covering must be 'empirical', 'literal' or an integer, got {choice!r}")
-    return packing.ConstantsConfig(use_empirical=False, c_cover=value, d_ball=d_ball)
+    return packing.ConstantsConfig(use_empirical=False, c_cover=value, **extra)
 
 
 def _echo(args) -> dict:
@@ -63,33 +61,19 @@ def _echo(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and not k.startswith("_")}
 
 
-def _emit(args, command, payload, seed=None, timer=None, table_rows=None):
-    doc = run_report(
-        command,
-        _echo(args),
-        payload,
-        seed=seed,
-        wall_times=timer.times if timer else {},
-    )
-    write_report(doc, args.out)
-    if table_rows is not None and args.table:
-        write_table(args.table, table_rows)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# leaf subcommands: each maps the parsed arguments to its report payload, and
+# an experiment to its payload and table rows
 
 
-def _cmd_mesh(args) -> int:
+def _mesh(args) -> dict:
     # every descriptor field but the kind has a parser option of the same dest
     sizes = {f.name: getattr(args, f.name) for f in fields(FamilyDescriptor) if f.name != "kind"}
     desc = FamilyDescriptor(kind=_FAMILY_ALIASES.get(args.family, args.family), **sizes)
-    timer = StageTimer()
-    with timer.stage("generate"):
-        mesh = generate_mesh(desc)
+    mesh = generate_mesh(desc)
     mesh.save(args.mesh_out)
     summary = geometric_summary(mesh, desc)
-    payload = {
+    return {
         "mesh_file": args.mesh_out,
         "n_vertices": mesh.n_vertices,
         "n_cells": len(mesh.cells),
@@ -97,90 +81,80 @@ def _cmd_mesh(args) -> int:
         "boundary_components": mesh.boundary_components(),
         "summary": summary.to_payload(),
     }
-    _emit(args, "mesh", payload, timer=timer)
-    return 0
 
 
-def _cmd_spectrum(args) -> int:
+def _spectrum(args) -> dict:
     mesh = EmbeddedMesh.load(args.mesh)
     problem = SpectralProblem(mesh, kind=args.kind, k_max=args.kmax, tolerance=args.tol)
-    timer = StageTimer()
-    with timer.stage("solve"):
-        result = solve_steklov(problem)
+    result = solve_steklov(problem)
     if args.traces:
         write_boundary_traces(args.traces, result)
-    _emit(args, "spectrum", result.to_payload(), timer=timer)
-    return 0
+    return result.to_payload()
 
 
-def _cmd_oracle(args) -> int:
-    name = args.oracle
-    if name == "annulus-sn":
-        value = closed_forms.annulus_sn_eigenvalue(args.n, args.eps, args.delta, args.mode)
-        payload = {"eigenvalue": value}
-    elif name == "cylinder":
-        if args.lambdas:
-            lams = _number_list(args.lambdas)
-        else:
-            pairs = closed_forms.sphere_laplace_spectrum(
-                args.n, args.radius, args.max_degree
-            )
-            lams = closed_forms.expand_multiplicities(pairs)
-        values = closed_forms.cylinder_steklov_spectrum(lams, args.length, args.count)
-        payload = {"eigenvalues": values}
-    elif name == "sphere-laplace":
+def _oracle_annulus_sn(args) -> dict:
+    value = closed_forms.annulus_sn_eigenvalue(args.n, args.eps, args.delta, args.mode)
+    return {"eigenvalue": value}
+
+
+def _oracle_cylinder(args) -> dict:
+    if args.lambdas:
+        lams = _number_list(args.lambdas)
+    else:
         pairs = closed_forms.sphere_laplace_spectrum(args.n, args.radius, args.max_degree)
-        payload = {"spectrum": [{"eigenvalue": v, "multiplicity": m} for v, m in pairs]}
-    elif name == "disk":
-        payload = {"eigenvalues": closed_forms.disk_steklov_spectrum(args.radius, args.count)}
-    elif name == "separated-mode":
-        value = closed_forms.separated_mode_sn_eigenvalue(
-            args.n, args.eps, args.delta, args.mu, args.lam, resolution=args.resolution
-        )
-        payload = {"eigenvalue": value}
-    elif name == "blowup-constant":
-        payload = {"constant": closed_forms.blowup_constant(args.n)}
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown oracle {name!r}")
-    _emit(args, f"oracle {name}", payload)
-    return 0
+        lams = closed_forms.expand_multiplicities(pairs)
+    return {"eigenvalues": closed_forms.cylinder_steklov_spectrum(lams, args.length, args.count)}
 
 
-def _cmd_index(args) -> int:
+def _oracle_sphere_laplace(args) -> dict:
+    pairs = closed_forms.sphere_laplace_spectrum(args.n, args.radius, args.max_degree)
+    return {"spectrum": [{"eigenvalue": v, "multiplicity": m} for v, m in pairs]}
+
+
+def _oracle_disk(args) -> dict:
+    return {"eigenvalues": closed_forms.disk_steklov_spectrum(args.radius, args.count)}
+
+
+def _oracle_separated_mode(args) -> dict:
+    value = closed_forms.separated_mode_sn_eigenvalue(
+        args.n, args.eps, args.delta, args.mu, args.lam, resolution=args.resolution
+    )
+    return {"eigenvalue": value}
+
+
+def _oracle_blowup_constant(args) -> dict:
+    return {"constant": closed_forms.blowup_constant(args.n)}
+
+
+def _index(args) -> dict:
     mesh = EmbeddedMesh.load(args.mesh)
     degree_bound = None
     if args.degrees:
         degree_bound = intersection.degree_upper_bound([_number_list(d, int) for d in args.degrees])
-    timer = StageTimer()
-    with timer.stage("sample"):
-        estimate = intersection.estimate_index(
-            mesh,
-            samples=args.samples,
-            seed=args.seed,
-            hill_climb=args.hill_climb,
-            degree_bound=degree_bound,
-        )
-    _emit(args, "index", estimate.to_payload(), seed=args.seed, timer=timer)
-    return 0
+    estimate = intersection.estimate_index(
+        mesh,
+        samples=args.samples,
+        seed=args.seed,
+        hill_climb=args.hill_climb,
+        degree_bound=degree_bound,
+    )
+    return estimate.to_payload()
 
 
-def _cmd_certify(args) -> int:
+def _certify(args) -> dict:
     mesh = EmbeddedMesh.load(args.mesh)
-    config = _covering_config(args)
-    timer = StageTimer()
-    with timer.stage("certify"):
-        cert = packing.certify_sigma_k(
-            mesh, args.k, config, i_sigma=args.i_sigma, seed=args.seed
-        )
-    _emit(args, "certify", cert.to_payload(), seed=args.seed, timer=timer)
-    return 0
+    config = _covering_config(args.covering)
+    cert = packing.certify_sigma_k(
+        mesh, args.k, config, i_sigma=args.i_sigma, seed=args.seed
+    )
+    return cert.to_payload()
 
 
-def _cmd_bounds(args) -> int:
+def _bounds(args) -> dict:
     which = args.bound
     if which in ("injectivity", "both") and args.r0 is None:
         raise UsageError(f"--bound {which} requires --r0")
-    config = _covering_config(args)
+    config = _covering_config(args.covering, d_ball=args.d_ball)
     inputs = bounds_mod.BoundInputs(
         n=args.n,
         m=args.m,
@@ -198,63 +172,56 @@ def _cmd_bounds(args) -> int:
         lhs_factor, iso_rhs = payload["isoperimetric_lhs_factor"], payload["isoperimetric_rhs"]
         identity_err = abs(iso_rhs - lhs_factor * payload["volume_bound_rhs"]) / iso_rhs
         payload["identity_check"] = {"relative_error": identity_err, "ok": identity_err < 1e-12}
-    _emit(args, "bounds", payload)
-    return 0
+    return payload
 
 
-def _cmd_experiment(args) -> int:
-    name = args.experiment
-    timer = StageTimer()
-    if name == "asymptotics":
-        count, n = args.k_hi + 2, 2
-        if args.source == "disk":
-            spectrum = closed_forms.disk_steklov_spectrum(args.radius, count)
-            volume_sigma = 2.0 * np.pi * args.radius
-        else:
-            pairs = closed_forms.sphere_laplace_spectrum(2, args.radius, count + 4)
-            lams = closed_forms.expand_multiplicities(pairs)
-            spectrum = closed_forms.cylinder_steklov_spectrum(lams, args.length, count)
-            volume_sigma = 4.0 * np.pi * args.radius
-        with timer.stage("fit"):
-            fit = bounds_mod.fit_asymptotics(spectrum, n, volume_sigma, args.k_lo, args.k_hi)
-        rows = [
-            {
-                "k": k,
-                "value": spectrum[k],
-                "bound": fit.reference_coefficient * k ** fit.reference_exponent,
-            }
-            for k in range(args.k_lo, args.k_hi + 1)
-        ]
-        payload = {"fit": fit.to_payload(), "source": args.source}
-        _emit(args, "experiment asymptotics", payload, timer=timer, table_rows=rows)
-    elif name == "blowup":
-        with timer.stage("sweep"):
-            table = bounds_mod.blowup_experiment(
-                args.n,
-                _number_list(args.eps),
-                max_sphere_degree=args.max_degree,
-                max_circle_mode=args.max_circle_mode,
-                resolution=args.resolution,
-            )
-        rows = [
-            {
-                "epsilon": row.eps,
-                "value": row.mode_min,
-                "bound": row.reference,
-                "satisfied": row.satisfied,
-            }
-            for row in table
-        ]
-        payload = {"rows": [row.to_payload() for row in table]}
-        _emit(args, "experiment blowup", payload, timer=timer, table_rows=rows)
-    else:  # obstruction
-        ks = range(args.k_min, args.k_max + 1)
-        with timer.stage("evaluate"):
-            result = bounds_mod.obstruction_experiment(args.n, args.beta, ks)
-        rows = [{"k": row.k, "value": row.value} for row in result.rows]
-        payload = result.to_payload()
-        _emit(args, "experiment obstruction", payload, timer=timer, table_rows=rows)
-    return 0
+def _experiment_asymptotics(args) -> tuple[dict, list]:
+    count, n = args.k_hi + 2, 2
+    if args.source == "disk":
+        spectrum = closed_forms.disk_steklov_spectrum(args.radius, count)
+        volume_sigma = 2.0 * np.pi * args.radius
+    else:
+        pairs = closed_forms.sphere_laplace_spectrum(2, args.radius, count + 4)
+        lams = closed_forms.expand_multiplicities(pairs)
+        spectrum = closed_forms.cylinder_steklov_spectrum(lams, args.length, count)
+        volume_sigma = 4.0 * np.pi * args.radius
+    fit = bounds_mod.fit_asymptotics(spectrum, n, volume_sigma, args.k_lo, args.k_hi)
+    rows = [
+        {
+            "k": k,
+            "value": spectrum[k],
+            "bound": fit.reference_coefficient * k ** fit.reference_exponent,
+        }
+        for k in range(args.k_lo, args.k_hi + 1)
+    ]
+    return {"fit": fit.to_payload(), "source": args.source}, rows
+
+
+def _experiment_blowup(args) -> tuple[dict, list]:
+    table = bounds_mod.blowup_experiment(
+        args.n,
+        _number_list(args.eps),
+        max_sphere_degree=args.max_degree,
+        max_circle_mode=args.max_circle_mode,
+        resolution=args.resolution,
+    )
+    rows = [
+        {
+            "epsilon": row.eps,
+            "value": row.mode_min,
+            "bound": row.reference,
+            "satisfied": row.satisfied,
+        }
+        for row in table
+    ]
+    return {"rows": [row.to_payload() for row in table]}, rows
+
+
+def _experiment_obstruction(args) -> tuple[dict, list]:
+    ks = range(args.k_min, args.k_max + 1)
+    result = bounds_mod.obstruction_experiment(args.n, args.beta, ks)
+    rows = [{"k": row.k, "value": row.value} for row in result.rows]
+    return result.to_payload(), rows
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--h-boundary", type=float)
     p.add_argument("--mesh-out", required=True, help="output mesh document path")
-    p.set_defaults(func=_cmd_mesh)
+    p.set_defaults(func=_mesh)
 
     p = sub.add_parser(
         "spectrum", parents=[out], help="solve the Steklov eigenproblem on a mesh"
@@ -297,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--traces", help="CSV path for eigenvector boundary traces")
-    p.set_defaults(func=_cmd_spectrum)
+    p.set_defaults(func=_spectrum)
 
     p = sub.add_parser("oracle", help="closed-form reference values")
     osub = p.add_subparsers(dest="oracle", required=True)
@@ -307,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--eps", type=float, required=True)
     o.add_argument("--delta", type=float, required=True)
     o.add_argument("--mode", type=int, default=1)
-    o.set_defaults(func=_cmd_oracle)
+    o.set_defaults(func=_oracle_annulus_sn)
 
     o = osub.add_parser("cylinder", parents=[out])
     o.add_argument("--L", dest="length", type=float, required=True)
@@ -316,18 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--radius", type=float, default=1.0)
     o.add_argument("--max-degree", type=int, default=64)
     o.add_argument("--lambdas", help="explicit comma-separated Laplace eigenvalues")
-    o.set_defaults(func=_cmd_oracle)
+    o.set_defaults(func=_oracle_cylinder)
 
     o = osub.add_parser("sphere-laplace", parents=[out])
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--radius", type=float, default=1.0)
     o.add_argument("--max-degree", type=int, default=8)
-    o.set_defaults(func=_cmd_oracle)
+    o.set_defaults(func=_oracle_sphere_laplace)
 
     o = osub.add_parser("disk", parents=[out])
     o.add_argument("--radius", type=float, default=1.0)
     o.add_argument("--count", type=int, default=7)
-    o.set_defaults(func=_cmd_oracle)
+    o.set_defaults(func=_oracle_disk)
 
     o = osub.add_parser("separated-mode", parents=[out])
     o.add_argument("--n", type=int, required=True)
@@ -336,11 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--mu", type=float, required=True)
     o.add_argument("--lam", type=float, required=True)
     o.add_argument("--resolution", type=int, default=2048)
-    o.set_defaults(func=_cmd_oracle)
+    o.set_defaults(func=_oracle_separated_mode)
 
     o = osub.add_parser("blowup-constant", parents=[out])
     o.add_argument("--n", type=int, required=True)
-    o.set_defaults(func=_cmd_oracle)
+    o.set_defaults(func=_oracle_blowup_constant)
 
     p = sub.add_parser("index", parents=[out], help="Monte Carlo intersection-index estimate")
     p.add_argument("--mesh", required=True)
@@ -352,16 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="comma-separated polynomial degrees of one piece; repeat per piece",
     )
-    p.set_defaults(func=_cmd_index)
+    p.set_defaults(func=_index)
 
     p = sub.add_parser("certify", parents=[out], help="packing certificate for sigma_k")
     p.add_argument("--mesh", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--i-sigma", type=int, required=True)
     p.add_argument("--covering", default="empirical", help="empirical | literal | integer")
-    p.add_argument("--d-ball", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_certify)
+    p.set_defaults(func=_certify)
 
     p = sub.add_parser("bounds", parents=[out], help="evaluate the explicit eigenvalue bounds")
     p.add_argument("--n", type=int, required=True)
@@ -377,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--covering", default="literal", help="literal | integer")
     p.add_argument("--d-ball", type=float, default=1.0)
     p.add_argument("--check-identity", action="store_true")
-    p.set_defaults(func=_cmd_bounds)
+    p.set_defaults(func=_bounds)
 
     p = sub.add_parser("experiment", help="experiment drivers with CSV tables")
     esub = p.add_subparsers(dest="experiment", required=True)
@@ -388,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--L", dest="length", type=float, default=1.0)
     e.add_argument("--k-lo", type=int, default=20)
     e.add_argument("--k-hi", type=int, default=200)
-    e.set_defaults(func=_cmd_experiment)
+    e.set_defaults(func=_experiment_asymptotics)
 
     e = esub.add_parser("blowup", parents=[out, table])
     e.add_argument("--n", type=int, default=3)
@@ -396,14 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--max-degree", type=int, default=12)
     e.add_argument("--max-circle-mode", type=int, default=12)
     e.add_argument("--resolution", type=int, default=1024)
-    e.set_defaults(func=_cmd_experiment)
+    e.set_defaults(func=_experiment_blowup)
 
     e = esub.add_parser("obstruction", parents=[out, table])
     e.add_argument("--n", type=int, default=2)
     e.add_argument("--beta", type=float, default=0.0)
     e.add_argument("--k-min", type=int, default=10)
     e.add_argument("--k-max", type=int, default=200)
-    e.set_defaults(func=_cmd_experiment)
+    e.set_defaults(func=_experiment_obstruction)
 
     return parser
 
@@ -415,12 +381,20 @@ def main(argv=None) -> int:
         # non-finite intermediates surface as residual, solver or strict-JSON
         # failures below, so NumPy's floating-point warnings are only noise
         with np.errstate(all="ignore"):
-            return args.func(args)
+            start = time.perf_counter()
+            result = args.func(args)
+            wall_times = {"run": time.perf_counter() - start}
+            payload, rows = result if "table" in args else (result, None)
+            command = " ".join(vars(args)[key] for key in ("command", "oracle", "experiment")
+                               if key in args)
+            doc = run_report(command, _echo(args), payload, seed=getattr(args, "seed", None),
+                             wall_times=wall_times)
+            write_report(doc, args.out)
+            if rows is not None and args.table:
+                write_table(args.table, rows)
+            return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # mesh reads raise UsageError, so this is a write of an output
-        print(f"usage error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (NumericalError, ArithmeticError) as exc:  # or an overflow no check anticipated
         print(f"numerical failure: {exc}", file=sys.stderr)

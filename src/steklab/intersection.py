@@ -267,15 +267,6 @@ class ConcentrationReport:
     trials: int
     index_bound: int
 
-    def to_payload(self) -> dict:
-        return {
-            "worst_ratio": float(self.worst_ratio),
-            "worst_center": [float(v) for v in self.worst_center],
-            "worst_radius": float(self.worst_radius),
-            "trials": self.trials,
-            "index_bound": self.index_bound,
-        }
-
 
 def concentration_audit(
     mesh: EmbeddedMesh,

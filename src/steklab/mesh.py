@@ -21,6 +21,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import MeshError, UsageError, check
+from .report import open_output
 
 STEKLOV = "steklov"
 NEUMANN = "neumann"
@@ -348,7 +349,7 @@ class EmbeddedMesh:
         holds every token of the document until it joins them, so lists go
         through the C encoder SAVE_BLOCK items at a time.
         """
-        with open(path, "w") as fh:
+        with open_output(path) as fh:
             for i, (key, value) in enumerate(self.to_document().items()):
                 fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
                 if not isinstance(value, list):

@@ -88,9 +88,9 @@ class ConstantsConfig:
 
     c_cover: explicit covering constant; when None it is 32^m (use_empirical
     False) or measured on the boundary atoms (use_empirical True).
-    d_ball: lower-bound constant for the volume of small intrinsic balls of
-    the boundary; no explicit value is available, so it defaults to 1 and is
-    always reported alongside results that depend on it.
+    d_ball: lower-bound constant D for the volume of small intrinsic balls of
+    the boundary, read only by the bounds (tube coefficient T = C_n/D); no
+    explicit value is available, so it defaults to 1 and is always reported.
     """
 
     use_empirical: bool = True
@@ -387,7 +387,6 @@ class PackingCertificate:
     k: int
     r: float
     c_cover: int
-    d_ball: float
     i_sigma: int
     atom_sets: list  # mesh vertex ids per set
     set_measures: np.ndarray
@@ -407,7 +406,6 @@ class PackingCertificate:
             "k": self.k,
             "r": self.r,
             "c_cover": self.c_cover,
-            "d_ball": self.d_ball,
             "i_sigma": self.i_sigma,
             "atom_sets": [[int(v) for v in s] for s in self.atom_sets],
             "set_measures": [float(v) for v in self.set_measures],
@@ -517,7 +515,6 @@ def certify_sigma_k(
         k=k,
         r=r,
         c_cover=c_cover,
-        d_ball=config.d_ball,
         i_sigma=i_sigma,
         atom_sets=[measure.vertex_ids[s] for s in packing.sets],
         set_measures=packing.set_measures,

@@ -1,10 +1,11 @@
 """Structured run reports and delimited tables.
 
 Every CLI run emits one JSON report with a fixed schema: tool version, the
-full parameter echo (defaults included), the seed, per-stage wall times and
-a payload produced by the library call.  Payloads of deterministic stages
-reproduce bit-for-bit across identical invocations; wall times live outside
-the payload so they never break that.
+full parameter echo (defaults included), the seed, the wall time of the run
+and a payload produced by the library call.  Payloads of deterministic runs
+reproduce bit-for-bit across identical invocations; the wall time lives
+outside the payload so it never breaks that.  Every output, mesh documents
+included, is written through `open_output`.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-import time
-
-import numpy as np
+from contextlib import contextmanager
 
 from . import __version__
 from .errors import NumericalError, UsageError
@@ -23,40 +22,25 @@ REPORT_SCHEMA_VERSION = 1
 TABLE_HEADER = ["k", "epsilon", "value", "bound", "satisfied"]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+@contextmanager
+def open_output(path, newline=None):
+    """Text stream to the file at `path`, or to standard output when it is None.
 
-
-class StageTimer:
-    """Collects named wall times for the report."""
-
-    def __init__(self):
-        self.times = {}
-
-    def stage(self, name: str):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.times[name] = timer.times.get(name, 0.0) + time.perf_counter() - self.t0
-                return False
-
-        return _Ctx()
+    An OSError raised while opening, writing or flushing becomes the
+    UsageError "cannot write <path>: <reason>" ("the report" for stdout).
+    """
+    name = "the report" if path is None else path
+    try:
+        if path is not None:
+            with open(path, "w", newline=newline) as fh:
+                yield fh
+        elif sys.stdout is None:  # started with file descriptor 1 closed
+            raise UsageError(f"cannot write {name}: there is no standard output")
+        else:
+            yield sys.stdout
+            sys.stdout.flush()  # so a closed pipe fails here, not at interpreter exit
+    except OSError as exc:
+        raise UsageError(f"cannot write {name}: {exc.strerror or exc}") from exc
 
 
 def run_report(command: str, parameters: dict, payload, seed=None, wall_times=None) -> dict:
@@ -65,10 +49,10 @@ def run_report(command: str, parameters: dict, payload, seed=None, wall_times=No
         "tool": "steklab",
         "tool_version": __version__,
         "command": command,
-        "parameters": _jsonable(parameters),
+        "parameters": parameters,
         "seed": seed,
-        "wall_time_s": _jsonable(wall_times or {}),
-        "payload": _jsonable(payload),
+        "wall_time_s": wall_times or {},
+        "payload": payload,
     }
 
 
@@ -78,13 +62,8 @@ def write_report(doc: dict, path=None) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericalError(f"the report holds a non-finite number ({exc})") from exc
-    if path is None:
-        if sys.stdout is None:  # started with file descriptor 1 closed
-            raise UsageError("cannot write the report: there is no standard output")
-        sys.stdout.write(text + "\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    with open_output(path) as fh:
+        fh.write(text + "\n")
 
 
 def write_table(path, rows) -> None:
@@ -92,17 +71,16 @@ def write_table(path, rows) -> None:
 
     Each row is a mapping; missing columns are left blank.
     """
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=TABLE_HEADER, restval="")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _jsonable(v) for k, v in row.items() if k in TABLE_HEADER})
+        writer.writerows(rows)
 
 
 def write_boundary_traces(path, result) -> None:
     """CSV of eigenvector boundary traces keyed by boundary vertex index."""
     vecs = result.eigenvectors_boundary
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["boundary_vertex"] + [f"mode_{j}" for j in range(vecs.shape[1])])
         for idx, row in zip(result.boundary_vertices, vecs):

@@ -455,18 +455,6 @@ BOUNDS_ARGS = ["bounds", "--n", "2", "--m", "2", "--volume-m", "3.14", "--volume
                "--i-m", "1", "--i-sigma", "2"]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_certify_non_finite_d_ball_exits_2(tmp_path, capsys, disk_document, value):
-    mesh_path = tmp_path / "mesh.json"
-    mesh_path.write_text(json.dumps(disk_document))
-    out = tmp_path / "report.json"
-    code, err = run_clean(["certify", "--mesh", str(mesh_path), "--k", "1", "--i-sigma", "2",
-                           f"--d-ball={value}"], capsys, out)
-    assert code == 2
-    assert "d_ball" in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "args, needle",
     [
@@ -745,7 +733,7 @@ _COMMANDS = [
                              st.sampled_from(["0", "-1", str(2**53 + 1)])),
                "--seed": _int(0, 100),
                "--degrees": _listed(_int(1, 4))}),
-    ("certify", {"--k": _int(1, 3), "--i-sigma": _int(1, 4), "--d-ball": _real(0.1, 10.0),
+    ("certify", {"--k": _int(1, 3), "--i-sigma": _int(1, 4),
                  "--covering": (st.sampled_from(["literal", "empirical", "2", "64"]),
                                 st.sampled_from(_REAL_EXTREMES + _INT_EXTREMES)),
                  "--seed": _int(0, 100)}),
@@ -907,32 +895,56 @@ def test_out_receives_the_report_of_every_leaf_subcommand(tmp_path, capsys, grad
     out = tmp_path / "report.json"
     assert run(_leaf_argv(command, tmp_path, graded_disk) + ["--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
-    assert read_json(out)["command"] == command
+    report = read_json(out)
+    assert report["command"] == command
+    assert list(report["wall_time_s"]) == ["run"]
 
 
-@pytest.mark.parametrize("fault", ["missing-directory", "directory"])
+# a missing directory and a directory fail on open, a full device on write
+UNWRITABLE = {"missing-directory": "{dir}/absent/x.out", "directory": "{dir}",
+              "full-device": "/dev/full"}
+
+
+@pytest.mark.parametrize("fault", sorted(UNWRITABLE))
 @pytest.mark.parametrize("command, option", OUTPUTS)
 def test_unwritable_output_exits_2(tmp_path, capsys, graded_disk, command, option, fault):
     argv = _leaf_argv(command, tmp_path, graded_disk)
-    target = tmp_path / "absent" / "x.out" if fault == "missing-directory" else tmp_path
+    target = UNWRITABLE[fault].format(dir=tmp_path)
     if option == "--out":
-        argv += ["--out", str(target)]
+        argv += ["--out", target]
     else:
-        argv[argv.index(option) + 1] = str(target)
+        argv[argv.index(option) + 1] = target
     code, err = run_clean(argv, capsys)
     assert code == 2
     assert err.count("\n") == 1 and err.startswith(f"usage error: cannot write {target}: ")
+    if fault == "full-device":
+        assert err == "usage error: cannot write /dev/full: No space left on device\n"
+
+
+def _oracle_disk_process(launcher=(), stdout=None):
+    """`steklab oracle disk` in a fresh interpreter that imports this steklab."""
+    src = str(Path(steklab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [*launcher, sys.executable, "-m", "steklab.cli", "oracle", "disk"]
+    return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=120)
 
 
 def test_closed_standard_output_exits_2():
-    src = str(Path(steklab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     # the shell closes file descriptor 1 before it starts the interpreter
-    argv = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "steklab.cli",
-            "oracle", "disk"]
-    proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                          env=env, timeout=120)
+    proc = _oracle_disk_process(["sh", "-c", 'exec "$@" >&-', "sh"], stdout=subprocess.DEVNULL)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         "usage error: cannot write the report: there is no standard output"
     ]
+
+
+def test_closed_standard_output_pipe_exits_2():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nothing will ever read the report
+    try:
+        proc = _oracle_disk_process(stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["usage error: cannot write the report: Broken pipe"]

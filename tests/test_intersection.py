@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from steklab import intersection
+from steklab.cli import main
 from steklab.errors import NonTransverseSample, PreconditionError, UsageError
 from steklab.families import FamilyDescriptor, generate_mesh
 from steklab.euclidean import unit_sphere_area
@@ -163,6 +164,54 @@ def test_estimate_requires_samples(circle_mesh):
 def test_degree_bound_violation_detected(circle_mesh):
     with pytest.raises(PreconditionError, match="degree bound"):
         estimate_index(circle_mesh, samples=300, seed=0, degree_bound=1)
+
+
+def _rejecting_counter(monkeypatch, rejected):
+    """Replace the plane counter by one that raises NonTransverseSample on the
+    call numbers (from 0) in `rejected`, or on every call when it is None;
+    returns the list of call numbers made."""
+    count = intersection.plane_mesh_intersections
+    calls = []
+
+    def counter(plane, mesh):
+        calls.append(len(calls))
+        if rejected is None or calls[-1] in rejected:
+            raise NonTransverseSample("rejected by the test")
+        return count(plane, mesh)
+
+    monkeypatch.setattr(intersection, "plane_mesh_intersections", counter)
+    return calls
+
+
+def test_rejected_planes_are_resampled(circle_mesh, monkeypatch):
+    samples, rounds = 40, intersection._HILL_CLIMB_ROUNDS
+    plain = estimate_index(circle_mesh, samples=samples, seed=3)
+    assert plain.degeneracy_rejections == 0
+    # the draw makes samples + 3 calls (0 ... 42), the hill climb the next
+    # `rounds`; the witness recount, after both, is never rejected
+    during_draw, during_climb = {0, 7, 8}, {samples + 3, samples + 50, samples + 2 + rounds}
+    calls = _rejecting_counter(monkeypatch, during_draw | during_climb)
+    est = estimate_index(circle_mesh, samples=samples, seed=3)
+    assert len(calls) == samples + len(during_draw) + rounds + 1
+    assert sum(est.count_histogram.values()) == est.samples == samples
+    assert est.degeneracy_rejections == len(during_draw | during_climb)
+    assert est.sampled_max == 2
+
+
+def test_all_rejected_planes_are_a_precondition_failure(tmp_path, capsys, circle_mesh,
+                                                        monkeypatch):
+    calls = _rejecting_counter(monkeypatch, None)
+    with pytest.raises(PreconditionError, match="all sampled planes were degenerate"):
+        estimate_index(circle_mesh, samples=5)
+    assert len(calls) == 5 * 10 + 1  # one rejection past the budget of 10 per sample
+    path = tmp_path / "circle.json"
+    circle_mesh.save(path)
+    assert main(["index", "--mesh", str(path), "--samples", "5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "precondition failure: all sampled planes were degenerate; the mesh may be pathological\n"
+    )
 
 
 # -- reference agreement -------------------------------------------------------

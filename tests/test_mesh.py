@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from conftest import random_rotation
+from steklab.cli import main
 from steklab.errors import MeshError
 from steklab.families import FamilyDescriptor, generate_mesh
 from steklab.mesh import NEUMANN, STEKLOV, EmbeddedMesh, facet_table, simplex_volume
@@ -304,6 +306,79 @@ def test_document_accepts_integral_floats(disk_mesh_coarse):
     doc = disk_mesh_coarse.to_document()
     doc["cells"] = [[float(v) for v in cell] for cell in doc["cells"]]
     assert np.array_equal(EmbeddedMesh.from_document(doc).cells, disk_mesh_coarse.cells)
+
+
+def _flat_cells(doc):
+    doc["cells"] = [v for cell in doc["cells"] for v in cell]
+
+
+def _point_cells(doc):  # 0-simplices have no boundary faces
+    doc["cells"] = [cell[:1] for cell in doc["cells"]]
+    doc["intrinsic_dim"], doc["boundary_faces"] = 0, []
+
+
+def _face_out_of_range(doc):
+    doc["boundary_faces"][0]["indices"][0] = len(doc["vertices"])
+
+
+def _ambient_dim_field(doc):
+    doc["ambient_dim"] = 3
+
+
+def _intrinsic_dim_field(doc):  # the closed torus lists no faces to reshape to the claim
+    doc["intrinsic_dim"] = 1
+
+
+# message -> (document and the edit that makes loading it fail with the
+# message, or a call on the coarse disk that fails with it)
+MESH_FAULTS = {
+    "cells must be a (C, n+1) array": ("disk", _flat_cells),
+    "face_tags and boundary_faces lengths differ": (None, lambda mesh: EmbeddedMesh(
+        mesh.vertices, mesh.cells, mesh.boundary_faces, mesh.face_tags[:-1])),
+    "intrinsic dim 0 not in [1, 2]": ("disk", _point_cells),
+    "boundary face index out of range": ("disk", _face_out_of_range),
+    "tag count mismatch": (None, lambda mesh: mesh.with_tags(mesh.face_tags[:-1])),
+    "ambient_dim field disagrees with vertex data": ("disk", _ambient_dim_field),
+    "intrinsic_dim field disagrees with cell data": ("torus", _intrinsic_dim_field),
+}
+
+
+@pytest.fixture(scope="module")
+def documents(disk_mesh_coarse, torus_mesh):
+    return {"disk": disk_mesh_coarse.to_document(), "torus": torus_mesh.to_document()}
+
+
+@pytest.mark.parametrize("message", sorted(MESH_FAULTS))
+def test_mesh_faults_name_themselves(tmp_path, capsys, disk_mesh_coarse, documents, message):
+    source, edit = MESH_FAULTS[message]
+    if source is None:
+        with pytest.raises(MeshError, match=re.escape(message)):
+            edit(disk_mesh_coarse)
+        return
+    doc = json.loads(json.dumps(documents[source]))
+    edit(doc)
+    with pytest.raises(MeshError, match=re.escape(message)):
+        EmbeddedMesh.from_document(doc)
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spectrum", "--mesh", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"precondition failure: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["spectrum"], "no steklov faces on the mesh"),
+     (["certify", "--k", "1", "--i-sigma", "2"], "mesh has no steklov faces")],
+)
+def test_closed_mesh_has_no_steklov_problem(tmp_path, capsys, documents, argv, message):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(documents["torus"]))
+    assert main([argv[0], "--mesh", str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
 
 
 def test_submesh_inherits_tags(annulus_mesh):
