@@ -21,7 +21,7 @@ I(M) = |Sigma| / |M|^((n-1)/n).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ from .closed_forms import (
 )
 from .errors import SIZE_BUDGET, NumericalError, UsageError, check
 from .euclidean import unit_ball_volume, unit_sphere_area
-from .packing import ConstantsConfig, covering_constant
 
 COMPARISON_TOLERANCE = 1e-9  # relative slack of evaluate_bounds' sigma_k comparisons
 OBSTRUCTION_FIT_TOLERANCE = 0.05  # how far the fitted exponent may fall short
@@ -72,33 +71,30 @@ class BoundConstants:
         }
 
 
+def literal_covering_constant(ambient_dim: int) -> float:
+    """The admissible ambient covering constant 32^m for R^m.
+
+    A double, so any m >= 205 raises OverflowError at once.
+    """
+    return 32.0**ambient_dim
+
+
 def constants(
-    n: int,
-    m: int,
-    config: Optional[ConstantsConfig] = None,
-    covering: Optional[float] = None,
+    n: int, m: int, covering: Optional[float] = None, d_ball: float = 1.0
 ) -> BoundConstants:
     """All bound constants for dimensions (n, m).
 
-    `covering` overrides the covering constant (an empirical value measured
-    on a mesh); otherwise the config fixes it (packing.covering_constant).
-    UsageError when the config asks for an empirical constant: there is no
-    mesh here to measure it on.
+    `covering` is the covering constant C, 32^m when None; `d_ball` is the
+    small-ball volume floor D of the boundary, which has no explicit value,
+    so it defaults to 1 and is always reported.
     """
     check("n", n, 2, integer=True)
     check("m", m, n, integer=True)
-    config = config or ConstantsConfig(use_empirical=False)
-    if covering is None:
-        fixed = covering_constant(config, m)
-        if fixed is None:
-            raise UsageError(
-                "the bounds need a literal or integer covering constant; an empirical "
-                "one is measured on a mesh (certify)"
-            )
-        covering = float(fixed)
+    check("d_ball", d_ball, 0, strict=True)
+    covering = literal_covering_constant(m) if covering is None else float(covering)
     sphere = unit_sphere_area(n - 1)
     concentration = 2.0 ** (n - 1) * unit_sphere_area(n)
-    tube = concentration / config.d_ball
+    tube = concentration / d_ball
     e = n - 1
     volume_coeff = 4.0 * 4.0 ** (3.0 / e) * covering ** ((n + 3.0) / e) * sphere ** (2.0 / e)
     tail_coeff = 4.0 * 2.0 ** (3.0 / e) * tube * covering ** ((n + 1.0) / e) * sphere ** (1.0 / e)
@@ -109,7 +105,7 @@ def constants(
         covering=covering,
         sphere_area=sphere,
         concentration=concentration,
-        d_ball=config.d_ball,
+        d_ball=d_ball,
         tube_coeff=tube,
         volume_coeff=volume_coeff,
         tail_coeff=tail_coeff,
@@ -129,20 +125,20 @@ class BoundInputs:
     i_sigma: int
     k: int
     r_0: Optional[float] = None
-    config: ConstantsConfig = field(default_factory=lambda: ConstantsConfig(use_empirical=False))
     covering: Optional[float] = None
+    d_ball: float = 1.0
 
     def __post_init__(self):
         check("n", self.n, 2, integer=True)
         check("m", self.m, self.n, integer=True)
         for name in ("i_m", "i_sigma", "k"):
             check(name, getattr(self, name), 1, integer=True)
-        for name in ("volume_m", "volume_sigma", "r_0", "covering"):
+        for name in ("volume_m", "volume_sigma", "r_0", "covering", "d_ball"):
             if getattr(self, name) is not None:
                 check(name, getattr(self, name), 0, strict=True)
 
     def constants(self) -> BoundConstants:
-        return constants(self.n, self.m, self.config, self.covering)
+        return constants(self.n, self.m, self.covering, self.d_ball)
 
 
 def volume_bound(inputs: BoundInputs) -> float:
@@ -457,6 +453,8 @@ def obstruction_experiment(
             ks.add(k)
             total += math.comb(k + n + 5, n - 1) + math.comb(k + n + 4, n - 1)
             check("the obstruction's multiplicity total", total, high=SIZE_BUDGET)
+    if len(ks) < 2:
+        raise UsageError("the obstruction fit needs at least two distinct k")
     ks = sorted(ks)
     cross_section = unit_sphere_area(n - 1)
     rows = []

@@ -13,6 +13,7 @@ precondition / hypothesis failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import fields
@@ -46,14 +47,14 @@ def _number_list(text: str, kind=float) -> list:
         raise UsageError(f"{text!r} is not a comma-separated list of numbers") from None
 
 
-def _covering_config(choice: str, **extra) -> packing.ConstantsConfig:
+def _covering_config(choice: str) -> packing.ConstantsConfig:
     if choice in ("empirical", "literal"):
-        return packing.ConstantsConfig(use_empirical=choice == "empirical", **extra)
+        return packing.ConstantsConfig(use_empirical=choice == "empirical")
     try:
         value = int(choice)
     except ValueError:
         raise UsageError(f"--covering must be 'empirical', 'literal' or an integer, got {choice!r}")
-    return packing.ConstantsConfig(use_empirical=False, c_cover=value, **extra)
+    return packing.ConstantsConfig(use_empirical=False, c_cover=value)
 
 
 def _echo(args) -> dict:
@@ -154,7 +155,12 @@ def _bounds(args) -> dict:
     which = args.bound
     if which in ("injectivity", "both") and args.r0 is None:
         raise UsageError(f"--bound {which} requires --r0")
-    config = _covering_config(args.covering, d_ball=args.d_ball)
+    config = _covering_config(args.covering)
+    if config.use_empirical:
+        raise UsageError(
+            "the bounds need a literal or integer covering constant; an empirical "
+            "one is measured on a mesh (certify)"
+        )
     inputs = bounds_mod.BoundInputs(
         n=args.n,
         m=args.m,
@@ -164,7 +170,8 @@ def _bounds(args) -> dict:
         i_sigma=args.i_sigma,
         k=args.k,
         r_0=args.r0 if which in ("injectivity", "both") else None,
-        config=config,
+        covering=config.c_cover,
+        d_ball=args.d_ball,
     )
     report = bounds_mod.evaluate_bounds(inputs, sigma_k=args.sigma_k)
     payload = report.to_payload()
@@ -228,6 +235,7 @@ def _experiment_obstruction(args) -> tuple[dict, list]:
 # parser
 
 
+@functools.cache  # nothing mutates the parser, so one process builds it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steklab",

@@ -59,20 +59,12 @@ def sphere_laplace_spectrum(n: int, radius: float, max_degree: int) -> list[tupl
     check("n", n, 2, integer=True)
     check("radius", radius, 0, strict=True)
     check("max_degree", max_degree, 0, SIZE_BUDGET, integer=True)
+    d = n - 1  # the sphere is d-dimensional
     out = []
     for k in range(max_degree + 1):
         value = sphere_mode_eigenvalue(n, k) / radius**2
-        if k == 0:
-            mult = 1
-        elif n == 2:
-            mult = 2
-        else:
-            d = n - 1  # the sphere is d-dimensional
-            mult = round(
-                (2 * k + d - 1)
-                / (d - 1)
-                * math.comb(k + d - 2, k)
-            )
+        # the degree-k harmonic polynomials in d + 1 variables, exactly
+        mult = math.comb(k + d, d) - math.comb(max(k + d - 2, 0), d)
         out.append((value, mult))
     return out
 

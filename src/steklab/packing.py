@@ -26,6 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from .bounds import literal_covering_constant
 from .errors import (
     SIZE_BUDGET,
     HypothesisViolation,
@@ -66,52 +67,34 @@ def _neighbours(tree: cKDTree, points: np.ndarray, r: float):
     """Yield (start, rows, near, dist): near[i] is dist[i] <= r from points[start + rows[i]].
 
     One block of _ROW_BLOCK points at a time, sorted by row, then tree point.  The
-    KD-tree (Bentley 1975) only proposes the pairs within r(1 + 1e-9); d <= r decides.
+    KD-tree (Bentley 1975) proposes the pairs within r(1 + 1e-9) with their
+    distances, and d <= r decides on those distances.
     """
     for start in range(0, len(points), _ROW_BLOCK):
         block = points[start : start + _ROW_BLOCK]
         pairs = cKDTree(block).sparse_distance_matrix(tree, r * (1.0 + 1e-9), output_type="ndarray")
-        rows, near = np.divmod(np.sort(pairs["i"] * tree.n + pairs["j"]), tree.n)
-        dist = _distances((x[near] for x in tree.data.T), (x[rows] for x in block.T))
+        key = pairs["i"] * tree.n + pairs["j"]
+        order = np.argsort(key)
+        rows, near = np.divmod(key[order], tree.n)
+        dist = pairs["v"][order]
         keep = dist <= r
         yield start, rows[keep], near[keep], dist[keep]
 
 
-def literal_covering_constant(ambient_dim: int) -> int:
-    """The admissible ambient covering constant 32^m for R^m."""
-    return 32**ambient_dim
-
-
 @dataclass(frozen=True)
 class ConstantsConfig:
-    """Covering and volume constants shared by packing and bound evaluation.
+    """How a certificate picks its covering constant.
 
     c_cover: explicit covering constant; when None it is 32^m (use_empirical
     False) or measured on the boundary atoms (use_empirical True).
-    d_ball: lower-bound constant D for the volume of small intrinsic balls of
-    the boundary, read only by the bounds (tube coefficient T = C_n/D); no
-    explicit value is available, so it defaults to 1 and is always reported.
     """
 
     use_empirical: bool = True
     c_cover: Optional[int] = None
-    d_ball: float = 1.0
 
     def __post_init__(self):
         if self.c_cover is not None:
             check("c_cover", self.c_cover, 1, integer=True)
-        check("d_ball", self.d_ball, 0, strict=True)
-
-
-def covering_constant(config: ConstantsConfig, ambient_dim: int) -> Optional[int]:
-    """The covering constant the config fixes: c_cover if given, else 32^m.
-
-    None when the config asks for an empirical constant, which only a
-    boundary measure can supply (see resolve_covering_constant).
-    """
-    if config.c_cover is not None:
-        return int(config.c_cover)
-    return None if config.use_empirical else literal_covering_constant(ambient_dim)
 
 
 @dataclass
@@ -139,12 +122,7 @@ class BoundaryMeasure:
     def spacing(self) -> float:
         """Median nearest-neighbour distance among (up to 2000) atoms, measured once."""
         count = min(len(self), 2000)
-        tree = cKDTree(self.positions)  # its nearest distances bound the exact search
-        reach = tree.query(self.positions[:count], k=2)[0][:, 1].max() * (1.0 + 1e-9)
-        nearest = np.full(count, np.inf)
-        for start, rows, atoms, dist in _neighbours(tree, self.positions[:count], reach):
-            other = atoms != start + rows
-            np.minimum.at(nearest, start + rows[other], dist[other])
+        nearest = cKDTree(self.positions).query(self.positions[:count], k=2)[0][:, 1]
         return float(np.median(nearest))
 
 
@@ -252,14 +230,18 @@ def resolve_covering_constant(
 ) -> tuple[int, float]:
     """Covering constant and matching radius for a certification run.
 
-    When the config fixes no constant (covering_constant), it is measured.
-    The empirical constant depends on the radius, which depends back on the
-    constant, so the measured value at radius r(C) must not exceed C itself:
-    the smallest such admissible C >= 2 is returned together with its radius.
+    The constant is the config's c_cover when given, else 32^m unless the
+    config asks for a measured one.  The empirical constant depends on the
+    radius, which depends back on the constant, so the measured value at
+    radius r(C) must not exceed C itself: the smallest such admissible C >= 2
+    is returned together with its radius.
     The measure keeps each count, so a probe radius is measured once per seed.
     """
-    c = covering_constant(config, ambient_dim)
-    if c is None:
+    if config.c_cover is not None:
+        c = int(config.c_cover)
+    elif not config.use_empirical:
+        c = int(literal_covering_constant(ambient_dim))
+    else:
         # covering counts are only meaningful at scales the atom cloud
         # resolves, so probe at least a dozen atom spacings
         floor = 12.0 * measure.spacing

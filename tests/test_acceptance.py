@@ -230,8 +230,7 @@ def test_criterion_8_literal_constant_dominance(
     disk_spectrum, disk_mesh, annulus_mesh, cylinder_mesh, cylinder_spectrum,
     revolution_mesh, product_mesh,
 ):
-    config = ConstantsConfig(use_empirical=False)  # covering 32^m, d_ball 1
-    cases = []
+    cases = []  # the bounds' defaults: covering 32^m, d_ball 1
 
     cases.append(("disk", disk_mesh, disk_spectrum, 1, 2, math.pi))
 
@@ -263,7 +262,6 @@ def test_criterion_8_literal_constant_dominance(
                 i_sigma=i_sigma,
                 k=k,
                 r_0=r0,
-                config=config,
             )
             rep = evaluate_bounds(inputs, sigma_k=float(fem.eigenvalues[k]))
             ok = ok and all(rep.satisfied.values())
@@ -359,7 +357,6 @@ def test_criterion_11_property_suites():
             break
 
     # volume bound / isoperimetric identity and threshold-branch consistency
-    cfg = ConstantsConfig(use_empirical=False)
     for _ in range(100):
         n = int(rng.integers(2, 5))
         inputs = BoundInputs(
@@ -368,7 +365,6 @@ def test_criterion_11_property_suites():
             volume_sigma=float(rng.uniform(0.1, 20)),
             i_m=int(rng.integers(1, 9)), i_sigma=int(rng.integers(1, 9)),
             k=int(rng.integers(1, 30)), r_0=float(rng.uniform(0.05, 3.0)),
-            config=cfg,
         )
         lhs_factor, iso_rhs = isoperimetric_bound(inputs)
         if abs(iso_rhs - lhs_factor * volume_bound(inputs)) > 1e-12 * iso_rhs:

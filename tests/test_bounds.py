@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steklab.bounds
 from steklab.bounds import (
     BoundInputs,
     blowup_experiment,
@@ -11,6 +14,7 @@ from steklab.bounds import (
     fit_asymptotics,
     injectivity_bound,
     isoperimetric_bound,
+    literal_covering_constant,
     obstruction_experiment,
     volume_bound,
 )
@@ -21,11 +25,6 @@ from steklab.closed_forms import (
     sphere_laplace_spectrum,
 )
 from steklab.errors import NumericalError, UsageError
-from steklab.packing import ConstantsConfig
-
-
-def literal_config():
-    return ConstantsConfig(use_empirical=False)
 
 
 def random_inputs(rng, with_r0=True):
@@ -40,38 +39,32 @@ def random_inputs(rng, with_r0=True):
         i_sigma=int(rng.integers(1, 12)),
         k=int(rng.integers(1, 40)),
         r_0=float(rng.uniform(0.01, 5.0)) if with_r0 else None,
-        config=literal_config(),
     )
 
 
 def test_covering_constant_values():
-    assert constants(2, 3, literal_config()).covering == 32768
-    assert constants(2, 2, literal_config()).covering == 1024
-
-
-def test_empirical_covering_constant_needs_a_mesh():
-    empirical = ConstantsConfig(use_empirical=True)
-    with pytest.raises(UsageError, match="empirical"):
-        constants(2, 2, empirical)
-    with pytest.raises(UsageError, match="empirical"):
-        evaluate_bounds(BoundInputs(**BASE_INPUTS, config=empirical))
-    # a constant measured on a mesh overrides the config
-    assert BoundInputs(**BASE_INPUTS, config=empirical, covering=3).constants().covering == 3
+    assert constants(2, 3).covering == 32768
+    assert constants(2, 2).covering == 1024
+    assert literal_covering_constant(204) == 2.0**1020
+    # a constant measured on a mesh replaces 32^m
+    assert BoundInputs(**BASE_INPUTS, covering=3).constants().covering == 3
 
 
 def test_volume_coefficient_formula():
     # n = 2, m = 3: 4 * 4^3 * (32^3)^5 * (2 pi)^2
-    c = constants(2, 3, literal_config())
+    c = constants(2, 3)
     expected = 4 * 4**3 * (32**3) ** 5 * (2 * math.pi) ** 2
     assert c.volume_coeff == pytest.approx(expected, rel=1e-12)
 
 
 def test_tube_coefficient_at_n2():
     # D = 1: tube coefficient is 2^(n-1) |S^n| = 2 * 4 pi = 8 pi at n = 2
-    c = constants(2, 3, literal_config())
+    c = constants(2, 3)
     assert c.tube_coeff == pytest.approx(8 * math.pi, rel=1e-12)
-    half = constants(2, 3, ConstantsConfig(use_empirical=False, d_ball=2.0))
+    half = constants(2, 3, d_ball=2.0)
     assert half.tube_coeff == pytest.approx(4 * math.pi, rel=1e-12)
+    with pytest.raises(UsageError, match="d_ball"):
+        constants(2, 3, d_ball=0.0)
 
 
 def test_tail_and_injectivity_coefficients():
@@ -79,7 +72,7 @@ def test_tail_and_injectivity_coefficients():
     for _ in range(50):
         n = int(rng.integers(2, 6))
         m = n + int(rng.integers(0, 3))
-        c = constants(n, m, literal_config())
+        c = constants(n, m)
         e = n - 1
         sphere = c.sphere_area
         assert c.tail_coeff == pytest.approx(
@@ -94,7 +87,7 @@ def test_tail_and_injectivity_coefficients():
 def test_volume_bound_dominates_disk_value():
     inputs = BoundInputs(
         n=2, m=2, volume_m=math.pi, volume_sigma=2 * math.pi,
-        i_m=1, i_sigma=2, k=1, config=literal_config(),
+        i_m=1, i_sigma=2, k=1,
     )
     assert volume_bound(inputs) >= 1.0
 
@@ -110,7 +103,6 @@ def test_volume_bound_homothety():
             volume_m=inputs.volume_m * t**n,
             volume_sigma=inputs.volume_sigma * t ** (n - 1),
             i_m=inputs.i_m, i_sigma=inputs.i_sigma, k=inputs.k,
-            config=literal_config(),
         )
         assert volume_bound(scaled) == pytest.approx(volume_bound(inputs) / t, rel=1e-12)
 
@@ -126,17 +118,17 @@ def test_injectivity_bound_homothety_and_blowup():
             volume_m=inputs.volume_m * t**n,
             volume_sigma=inputs.volume_sigma * t ** (n - 1),
             i_m=inputs.i_m, i_sigma=inputs.i_sigma, k=inputs.k,
-            r_0=inputs.r_0 * t, config=literal_config(),
+            r_0=inputs.r_0 * t,
         )
         a, _ = injectivity_bound(inputs)
         b, _ = injectivity_bound(scaled)
         assert b == pytest.approx(a / t, rel=1e-12)
     # r_0 -> 0 blows up the first term (the k-tail term stays fixed)
     big = BoundInputs(n=2, m=2, volume_m=1, volume_sigma=1, i_m=1, i_sigma=1,
-                      k=1, r_0=1.0, config=literal_config())
+                      k=1, r_0=1.0)
     rhs_big, _ = injectivity_bound(big)
     small = BoundInputs(n=2, m=2, volume_m=1, volume_sigma=1, i_m=1, i_sigma=1,
-                        k=1, r_0=1e-12, config=literal_config())
+                        k=1, r_0=1e-12)
     rhs_small, _ = injectivity_bound(small)
     assert rhs_small > 1e3 * rhs_big
     assert rhs_small >= small.constants().injectivity_coeff * small.i_m / small.r_0
@@ -144,9 +136,9 @@ def test_injectivity_bound_homothety_and_blowup():
 
 def test_k_doubles_as_expected_at_n3():
     base = BoundInputs(n=3, m=3, volume_m=1, volume_sigma=1, i_m=1, i_sigma=1,
-                       k=5, config=literal_config())
+                       k=5)
     double = BoundInputs(n=3, m=3, volume_m=1, volume_sigma=1, i_m=1, i_sigma=1,
-                         k=10, config=literal_config())
+                         k=10)
     assert volume_bound(double) == pytest.approx(2 * volume_bound(base), rel=1e-12)
 
 
@@ -171,7 +163,6 @@ def test_isoperimetric_scale_invariance():
             volume_m=inputs.volume_m * t**n,
             volume_sigma=inputs.volume_sigma * t ** (n - 1),
             i_m=inputs.i_m, i_sigma=inputs.i_sigma, k=inputs.k,
-            config=literal_config(),
         )
         _, rhs_a = isoperimetric_bound(inputs)
         _, rhs_b = isoperimetric_bound(scaled)
@@ -196,14 +187,14 @@ def test_threshold_branch_consistency():
 
 def test_injectivity_requires_r0():
     inputs = BoundInputs(n=2, m=2, volume_m=1, volume_sigma=1, i_m=1, i_sigma=1,
-                         k=1, config=literal_config())
+                         k=1)
     with pytest.raises(UsageError, match="r_0"):
         injectivity_bound(inputs)
 
 
 def test_evaluate_bounds_report():
     inputs = BoundInputs(n=2, m=2, volume_m=math.pi, volume_sigma=2 * math.pi,
-                         i_m=1, i_sigma=2, k=1, r_0=math.pi, config=literal_config())
+                         i_m=1, i_sigma=2, k=1, r_0=math.pi)
     report = evaluate_bounds(inputs, sigma_k=1.0)
     assert report.satisfied == {"volume": True, "isoperimetric": True, "injectivity": True}
     payload = report.to_payload()
@@ -213,7 +204,7 @@ def test_evaluate_bounds_report():
 BASE_INPUTS = dict(n=2, m=2, volume_m=math.pi, volume_sigma=2 * math.pi, i_m=1, i_sigma=2, k=1)
 
 
-@pytest.mark.parametrize("name", ["volume_m", "volume_sigma", "r_0", "covering"])
+@pytest.mark.parametrize("name", ["volume_m", "volume_sigma", "r_0", "covering", "d_ball"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
 def test_bound_inputs_reject_non_finite_values(name, value):
     with pytest.raises(UsageError, match=name):
@@ -232,11 +223,13 @@ def test_evaluate_bounds_rejects_non_finite_sigma_k():
 
 
 def test_evaluate_bounds_overflow_is_numerical_error():
-    # |Sigma|^3 underflows to 0 in the volume bound; a huge m overflows 32^m
+    # |Sigma|^3 underflows to 0 in the volume bound; a huge m overflows 32^m,
+    # which from m = 205 on is not a double
     with pytest.raises(NumericalError, match="double precision"):
         evaluate_bounds(BoundInputs(**{**BASE_INPUTS, "volume_sigma": 1e-200}))
-    with pytest.raises(NumericalError, match="double precision"):
-        evaluate_bounds(BoundInputs(**{**BASE_INPUTS, "m": 10**6}))
+    for m in (204, 205, 10**6, 10**10, 2**53):
+        with pytest.raises(NumericalError, match="double precision"):
+            evaluate_bounds(BoundInputs(**{**BASE_INPUTS, "m": m}))
 
 
 def test_fit_asymptotics_disk():
@@ -298,6 +291,12 @@ def test_obstruction_exponents_circle():
     assert weighted.consistent
 
 
+@pytest.mark.parametrize("ks", [[5], [7, 7, 7]])
+def test_obstruction_needs_two_distinct_k(ks):
+    with pytest.raises(UsageError, match="two distinct k"):
+        obstruction_experiment(2, 0.0, ks)
+
+
 def test_obstruction_constant_factor():
     result = obstruction_experiment(2, 0.0, range(10, 40))
     for row in result.rows:
@@ -312,7 +311,7 @@ def test_injectivity_rhs_scales_like_thin_boundary_floor():
     def rhs(eps):
         inputs = BoundInputs(
             n=4, m=6, volume_m=5.0, volume_sigma=1.0, i_m=12, i_sigma=2,
-            k=1, r_0=math.pi * eps, config=literal_config(),
+            k=1, r_0=math.pi * eps,
         )
         return injectivity_bound(inputs)[0]
 
@@ -340,3 +339,14 @@ def test_obstruction_total_is_checked_before_any_spectrum(monkeypatch):
 def test_obstruction_total_counts_each_k_once():
     once = obstruction_experiment(2, 0.0, range(10, 40))
     assert obstruction_experiment(2, 0.0, [*range(10, 40), *range(10, 40)]) == once
+
+
+def test_bounds_import_nothing_from_the_mesh_pipeline():
+    # the bounds are arithmetic on numbers: C and D arrive as plain values
+    tree = ast.parse(Path(steklab.bounds.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            imported.update(part for name in names for part in name.split("."))
+    assert imported.isdisjoint({"packing", "spectral", "mesh"})

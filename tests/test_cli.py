@@ -591,6 +591,10 @@ def test_spectrum_non_finite_tolerance_exits_2(tmp_path, capsys, disk_document, 
         (["oracle", "cylinder", "--L", "1", "--lambdas", "0,nan,4"], 2),
         # bounds has no mesh to measure an empirical covering constant on
         ([*BOUNDS_ARGS, "--covering", "empirical"], 2),
+        # 32^m is not a double from m = 205 on, so this fails at once
+        ([*BOUNDS_ARGS, "--m", "10000000000"], 3),
+        # one k fits no exponent
+        (["experiment", "obstruction", "--k-min", "5", "--k-max", "5"], 2),
     ],
 )
 def test_out_of_range_parameter_exit_code(tmp_path, capsys, argv, expected):

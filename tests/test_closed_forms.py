@@ -73,6 +73,21 @@ def test_sphere_spectrum_low_degrees():
     assert [m for _, m in s3] == [1, 4, 9]
 
 
+def test_sphere_multiplicities_are_exact():
+    # degree-k harmonics on S^d: (2k + d - 1) (k + d - 2)! / (k! (d - 1)!) for k >= 1
+    for n in range(2, 40):
+        d = n - 1
+        got = [m for _, m in sphere_laplace_spectrum(n, 1.0, 80)]
+        expected = [1] + [
+            (2 * k + d - 1) * math.factorial(k + d - 2)
+            // (math.factorial(k) * math.factorial(d - 1))
+            for k in range(1, 81)
+        ]
+        assert got == expected
+    # between 2^52 and 2^53 a product taken in floating point is off by one
+    assert sphere_laplace_spectrum(16, 1.0, 72)[72][1] == 8337882141913050
+
+
 def test_cylinder_reference_list():
     got = cylinder_steklov_spectrum(circle_lambdas(5), 1.0, 6)
     t = math.tanh(0.5)

@@ -22,10 +22,8 @@ from steklab.packing import (
     build_packing,
     certify_sigma_k,
     choose_radius,
-    covering_constant,
     empirical_covering_constant,
     max_ball_measure,
-    literal_covering_constant,
     resolve_covering_constant,
 )
 from steklab.mesh import EmbeddedMesh, simplex_grams
@@ -61,15 +59,24 @@ def test_choose_radius_dimension_exponent():
 
 
 def test_literal_covering_constant():
-    assert literal_covering_constant(3) == 32768
-    assert literal_covering_constant(2) == 1024
+    # the certificate takes 32^m as an exact integer
+    measure = uniform_circle_measure(200)
+    for m, expected in ((3, 32768), (2, 1024)):
+        c, _ = resolve_covering_constant(measure, ConstantsConfig(use_empirical=False), m, 2, 1, 2)
+        assert c == expected and isinstance(c, int)
 
 
 def test_covering_constant_decision():
-    assert covering_constant(ConstantsConfig(use_empirical=False), 3) == 32768
-    assert covering_constant(ConstantsConfig(use_empirical=False, c_cover=5), 3) == 5
-    assert covering_constant(ConstantsConfig(use_empirical=True, c_cover=5), 3) == 5
-    assert covering_constant(ConstantsConfig(use_empirical=True), 3) is None  # measured
+    def decide(config):
+        measure = uniform_circle_measure(200)
+        c, _ = resolve_covering_constant(measure, config, 3, 2, 1, 2)
+        return c, bool(measure.covering_counts)  # whether it was measured
+
+    assert decide(ConstantsConfig(use_empirical=False)) == (32768, False)
+    assert decide(ConstantsConfig(use_empirical=False, c_cover=5)) == (5, False)
+    assert decide(ConstantsConfig(use_empirical=True, c_cover=5)) == (5, False)
+    c, measured = decide(ConstantsConfig(use_empirical=True))
+    assert measured and 2 <= c <= 64
 
 
 def test_boundary_measure_totals(annulus_mesh):
@@ -221,15 +228,9 @@ def test_literal_constants_hit_resolution_guard(certified_disk):
 
 def test_config_validation():
     with pytest.raises(UsageError):
-        ConstantsConfig(d_ball=-1.0)
+        ConstantsConfig(c_cover=-1)
     with pytest.raises(UsageError):
         ConstantsConfig(c_cover=0)
-
-
-@pytest.mark.parametrize("d_ball", [math.nan, math.inf, -math.inf, 0.0])
-def test_config_rejects_non_finite_d_ball(d_ball):
-    with pytest.raises(UsageError, match="d_ball"):
-        ConstantsConfig(d_ball=d_ball)
 
 
 @pytest.mark.parametrize("c_cover", [2**53 + 1, 10**400])
