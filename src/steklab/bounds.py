@@ -234,16 +234,23 @@ def evaluate_bounds(inputs: BoundInputs, sigma_k: Optional[float] = None) -> Bou
     A comparison holds when sigma_k exceeds its bound by at most
     COMPARISON_TOLERANCE (1 + |sigma_k|).
 
-    NumericalError when a bound is not representable in double precision.
+    NumericalError, naming the bound, when one is not representable in double
+    precision.
     """
     if sigma_k is not None:
         check("sigma_k", sigma_k)
-    try:
-        vol_rhs = volume_bound(inputs)
-        inj_rhs, k0 = injectivity_bound(inputs) if inputs.r_0 is not None else (None, None)
-        lhs_factor, iso_rhs = isoperimetric_bound(inputs)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise NumericalError(f"the bounds overflow double precision ({exc})") from exc
+
+    def evaluate(name, bound):
+        try:
+            return bound(inputs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise NumericalError(f"the {name} bound overflows double precision") from exc
+
+    vol_rhs = evaluate("volume", volume_bound)
+    inj_rhs = k0 = None
+    if inputs.r_0 is not None:
+        inj_rhs, k0 = evaluate("injectivity", injectivity_bound)
+    lhs_factor, iso_rhs = evaluate("isoperimetric", isoperimetric_bound)
     satisfied = {}
     if sigma_k is not None:
         slack = COMPARISON_TOLERANCE * (1.0 + abs(sigma_k))

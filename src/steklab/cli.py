@@ -407,6 +407,9 @@ def main(argv=None) -> int:
     except (NumericalError, ArithmeticError) as exc:  # or an overflow no check anticipated
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:  # a request within SIZE_BUDGET can still exceed the machine
+        print("numerical failure: out of memory", file=sys.stderr)
+        return 3
     except (PreconditionError, MeshError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 4

@@ -8,9 +8,13 @@ Schur complement of K onto the Steklov vertices G (a discrete
 Dirichlet-to-Neumann operator), but S is never formed: B vanishes off G, so
 the G-block of (K - sigma_s B)^{-1} is (S - sigma_s B_GG)^{-1}, and one sparse
 LU of K - sigma_s B at the negative shift sigma_s = -|Sigma|/|M| serves the
-whole solve.  A few eigenpairs come from shift-invert Lanczos (Ericsson & Ruhe,
-Math. Comp. 1980; ARPACK mode 3), a quarter of the boundary spectrum or more
-from a dense eigensolve of that inverted block.
+whole solve.  That matrix is SPD, so SuperLU factors it in symmetric mode
+(X. S. Li, ACM TOMS 31 (2005)): a minimum-degree ordering of A + A^T and
+pivots on the diagonal, which fills about a quarter less than its default
+column ordering.  A few eigenpairs come from shift-invert Lanczos (Ericsson &
+Ruhe, Math. Comp. 1980; ARPACK mode 3), a quarter of the boundary spectrum or
+more from a dense eigensolve of that inverted block, which is solved for in
+column blocks that keep only the boundary rows.
 """
 
 from __future__ import annotations
@@ -23,11 +27,12 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 from scipy.sparse.linalg import norm as spnorm
 
-from .errors import NumericalError, UsageError, check
+from .errors import SIZE_BUDGET, NumericalError, UsageError, check
 from .mesh import NEUMANN, STEKLOV, EmbeddedMesh, read_only, simplex_grams
 
 KIND_STEKLOV = "steklov"
 KIND_STEKLOV_NEUMANN = "steklov-neumann"
+DENSE_BLOCK = 128  # right-hand sides per sparse solve in the dense branch
 
 
 @dataclass
@@ -89,6 +94,20 @@ def assemble_operators(mesh: EmbeddedMesh) -> tuple[csr_matrix, csr_matrix]:
     return mesh.cached("operators", _assemble)
 
 
+def _sum_local(local: np.ndarray, simplices: np.ndarray, size: int) -> csr_matrix:
+    """The size x size CSR sum of the local matrices local[c] on the vertices simplices[c].
+
+    The row and column arrays are written in place in the index dtype scipy
+    uses, int32 below 2^31 vertices, so the COO matrix takes them uncopied.
+    """
+    index = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    rows = np.empty(local.shape, dtype=index)
+    cols = np.empty(local.shape, dtype=index)
+    rows[...] = simplices[:, :, None]
+    cols[...] = simplices[:, None, :]
+    return coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size)).tocsr()
+
+
 def _assemble(mesh: EmbeddedMesh) -> tuple[csr_matrix, csr_matrix]:
     n = mesh.intrinsic_dim
     nv = mesh.n_vertices
@@ -99,21 +118,15 @@ def _assemble(mesh: EmbeddedMesh) -> tuple[csr_matrix, csr_matrix]:
     # in the order einsum("ai,cab,bj->cij") takes, so K is bit for bit that form
     table = np.einsum("ai,bj->abij", shape, shape).reshape(n * n, (n + 1) ** 2)
     kloc = np.einsum("cq,qp->cp", ginv.reshape(-1, n * n), table).reshape(-1, n + 1, n + 1)
+    del ginv  # before the sparse conversion copies the entries
     kloc *= mesh.cell_volumes()[:, None, None]
-    rows = np.repeat(mesh.cells[:, :, None], n + 1, axis=2)
-    cols = np.repeat(mesh.cells[:, None, :], n + 1, axis=1)
-    stiffness = coo_matrix(
-        (kloc.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)
-    ).tocsr()
+    stiffness = _sum_local(kloc, mesh.cells, nv)
 
     faces = mesh.steklov_faces()
     d = n - 1
     fvols = mesh.face_volumes()[mesh.steklov_mask()]
     template = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
-    mloc = fvols[:, None, None] * template[None, :, :]
-    rows = np.repeat(faces[:, :, None], d + 1, axis=2)
-    cols = np.repeat(faces[:, None, :], d + 1, axis=1)
-    mass = coo_matrix((mloc.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)).tocsr()
+    mass = _sum_local(fvols[:, None, None] * template[None, :, :], faces, nv)
     for matrix in (stiffness, mass):
         for array in (matrix.data, matrix.indices, matrix.indptr):
             read_only(array)
@@ -123,14 +136,17 @@ def _assemble(mesh: EmbeddedMesh) -> tuple[csr_matrix, csr_matrix]:
 def solve_steklov(problem: SpectralProblem) -> SpectralResult:
     """k_max+1 smallest Steklov eigenvalues from one LU of A = K - sigma_s B.
 
-    A is SPD on a connected mesh because B does not vanish on constants.
-    Requests with k_max+1 < n_G // 4 run shift-invert Lanczos from a fixed
-    start vector; larger ones invert the G-block of A^{-1} densely.  Each
-    eigenvector is the trace of u = A^{-1} E_G (sigma - sigma_s) B_GG x, the
-    discrete harmonic extension of its trace, so S x = [K u]_G exactly.
+    A is SPD on a connected mesh because B does not vanish on constants, so
+    it is factored in SuperLU's symmetric mode.  Requests with
+    k_max+1 < n_G // 4 run shift-invert Lanczos from a fixed start vector;
+    larger ones invert the G-block of A^{-1} densely, solving for it
+    DENSE_BLOCK columns at a time, and exit 2 when n_G^2 exceeds SIZE_BUDGET.
+    Each eigenvector is the trace of u = A^{-1} E_G (sigma - sigma_s) B_GG x,
+    the discrete harmonic extension of its trace, so S x = [K u]_G exactly.
     sigma_0 = 0 (constants) is reported, not deflated.  Residuals are the
     backward errors |(K - sigma B) u| / ((|K|_1 + sigma |B|_1) |u|) of the
-    sparse pencil, meaningful at sigma_0 too, where |K u| vanishes.
+    sparse pencil, meaningful at sigma_0 too, where |K u| vanishes.  The
+    extensions are formed in the same column blocks, one block for Lanczos.
     """
     mesh = problem.mesh
     stiffness, mass = assemble_operators(mesh)
@@ -144,7 +160,12 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
         )
     shift = -float(mass.sum()) / mesh.volume()
     try:
-        lu = splu((stiffness - shift * mass).tocsc())
+        lu = splu(
+            (stiffness - shift * mass).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:
         raise NumericalError(f"shifted stiffness factorization failed: {exc}") from exc
 
@@ -156,8 +177,10 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
 
     bmat = mass[gamma][:, gamma]
     want = problem.k_max + 1
+    lanczos = want < n_gamma // 4
+    block = want if lanczos else DENSE_BLOCK
     try:
-        if want < n_gamma // 4:
+        if lanczos:
             op = LinearOperator(
                 (n_gamma, n_gamma), matvec=lambda y: solve_from_gamma(y)[gamma], dtype=float
             )
@@ -166,8 +189,17 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
             v0 = np.random.default_rng(0).standard_normal(n_gamma)
             vals, vecs = eigsh(bmat, k=want, M=bmat, sigma=shift, OPinv=op, tol=0, v0=v0)
         else:
-            shifted = np.linalg.inv(solve_from_gamma(np.eye(n_gamma))[gamma])
-            vals, vecs = scipy.linalg.eigh(shifted, bmat.toarray())
+            check("the dense branch's (Steklov vertices)^2", n_gamma**2, high=SIZE_BUDGET)
+            a_inv = np.empty((n_gamma, n_gamma))  # the G-block of A^{-1}
+            for start in range(0, n_gamma, block):
+                # columns start .. start + block of the n_G x n_G identity
+                unit = np.eye(n_gamma, min(block, n_gamma - start), -start)
+                a_inv[:, start : start + block] = solve_from_gamma(unit)[gamma]
+            shifted = np.linalg.inv(a_inv)
+            del a_inv  # and the eigensolve overwrites its two temporaries
+            vals, vecs = scipy.linalg.eigh(
+                shifted, bmat.toarray(), overwrite_a=True, overwrite_b=True
+            )
             vals, vecs = vals[:want] + shift, vecs[:, :want]
     except (ArpackError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError(f"boundary eigensolve failed: {exc}") from exc
@@ -177,11 +209,17 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
         raise NumericalError(f"leading eigenvalue {vals[0]} is significantly negative")
     vals = np.maximum(vals, 0.0)
 
-    extensions = solve_from_gamma((bmat @ vecs) * (vals - shift))
-    misfit = stiffness @ extensions - (mass @ extensions) * vals
-    residuals = np.linalg.norm(misfit, axis=0) / (
-        (spnorm(stiffness, 1) + vals * spnorm(mass, 1)) * np.linalg.norm(extensions, axis=0)
-    )
+    k_norm, b_norm = spnorm(stiffness, 1), spnorm(mass, 1)
+    residuals = np.empty(want)
+    traces = np.empty((n_gamma, want))
+    for start in range(0, want, block):
+        cols = slice(start, start + block)
+        extensions = solve_from_gamma((bmat @ vecs[:, cols]) * (vals[cols] - shift))
+        misfit = stiffness @ extensions - (mass @ extensions) * vals[cols]
+        residuals[cols] = np.linalg.norm(misfit, axis=0) / (
+            (k_norm + vals[cols] * b_norm) * np.linalg.norm(extensions, axis=0)
+        )
+        traces[:, cols] = extensions[gamma]
     if residuals.max() > problem.tolerance:
         raise NumericalError(
             f"eigenpair residual {residuals.max():.3e} exceeds tolerance {problem.tolerance}"
@@ -192,7 +230,7 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
         dof_interior=int(mesh.n_vertices - n_gamma),
         dof_boundary=int(n_gamma),
         boundary_vertices=gamma,
-        eigenvectors_boundary=extensions[gamma],
+        eigenvectors_boundary=traces,
         metadata={"kind": problem.kind, "n_vertices": mesh.n_vertices},
     )
 
@@ -229,14 +267,3 @@ def cell_gradient_norms(mesh: EmbeddedMesh, values: np.ndarray) -> np.ndarray:
     out = np.zeros(len(v))
     out[live] = np.sqrt(np.maximum(sq, 0.0))
     return out
-
-
-def spectra_match(
-    computed, reference, atol: float = 1e-8, rtol: float = 1e-2
-) -> bool:
-    """Compare spectra as sorted multisets with atol + rtol*|ref| per entry."""
-    a = np.sort(np.asarray(computed, dtype=float))
-    b = np.sort(np.asarray(reference, dtype=float))
-    if a.shape != b.shape:
-        return False
-    return bool(np.all(np.abs(a - b) <= atol + rtol * np.abs(b)))

@@ -224,12 +224,18 @@ def test_evaluate_bounds_rejects_non_finite_sigma_k():
 
 def test_evaluate_bounds_overflow_is_numerical_error():
     # |Sigma|^3 underflows to 0 in the volume bound; a huge m overflows 32^m,
-    # which from m = 205 on is not a double
-    with pytest.raises(NumericalError, match="double precision"):
-        evaluate_bounds(BoundInputs(**{**BASE_INPUTS, "volume_sigma": 1e-200}))
-    for m in (204, 205, 10**6, 10**10, 2**53):
-        with pytest.raises(NumericalError, match="double precision"):
-            evaluate_bounds(BoundInputs(**{**BASE_INPUTS, "m": m}))
+    # which from m = 205 on is not a double; r_0^2 underflows in the
+    # injectivity threshold; |Sigma|^2 / |M| underflows in the isoperimetric
+    # form.  The message names the bound, not the errno tuple of a float **.
+    cases = [({"volume_sigma": 1e-200}, "volume")]
+    cases += [({"m": m}, "volume") for m in (204, 205, 10**6, 10**10, 2**53)]
+    cases += [({"n": 3, "m": 3, "r_0": 1e-200}, "injectivity")]
+    cases += [({"volume_sigma": 1e-100, "volume_m": 1e200}, "isoperimetric")]
+    for case, name in cases:
+        with pytest.raises(NumericalError, match="double precision") as info:
+            evaluate_bounds(BoundInputs(**{**BASE_INPUTS, **case}))
+        assert f"the {name} bound" in str(info.value)
+        assert "(34," not in str(info.value)
 
 
 def test_fit_asymptotics_disk():

@@ -102,6 +102,7 @@ def test_spectrum_kmax_usage_error(annulus_file, tmp_path):
     [
         ("eigsh", ArpackNoConvergence("ARPACK did not converge", np.zeros(0), np.zeros((0, 0)))),
         ("splu", RuntimeError("Factor is exactly singular")),
+        ("splu", MemoryError()),
     ],
 )
 def test_spectrum_solver_failure_exits_3(annulus_file, tmp_path, monkeypatch, capsys, name, exc):
@@ -118,6 +119,9 @@ def test_spectrum_solver_failure_exits_3(annulus_file, tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
     assert "Traceback" not in err
+    assert err.count("\n") == 1
+    if isinstance(exc, MemoryError):
+        assert err == "numerical failure: out of memory\n"
 
 
 def test_oracle_values(tmp_path, capsys):

@@ -17,8 +17,16 @@ from steklab.spectral import (
     cell_gradient_norms,
     rayleigh_quotient,
     solve_steklov,
-    spectra_match,
 )
+
+
+def spectra_match(computed, reference, atol: float = 1e-8, rtol: float = 1e-2) -> bool:
+    """Compare spectra as sorted multisets with atol + rtol*|ref| per entry."""
+    a = np.sort(np.asarray(computed, dtype=float))
+    b = np.sort(np.asarray(reference, dtype=float))
+    if a.shape != b.shape:
+        return False
+    return bool(np.all(np.abs(a - b) <= atol + rtol * np.abs(b)))
 
 
 def interval_mesh():
@@ -172,6 +180,36 @@ def test_matches_dense_schur_reference(coarse_cases, case, branch):
     ref = dense_schur_spectrum(mesh, k_max)
     assert np.allclose(got.eigenvalues, ref, rtol=1e-9, atol=1e-12)
     assert got.residuals.max() < 1e-12
+
+
+@pytest.mark.parametrize("case", ["disk", "annulus"])
+@pytest.mark.parametrize("block", [5, 7])
+def test_dense_branch_in_column_blocks(coarse_cases, case, block, monkeypatch):
+    mesh, kind = coarse_cases[case]
+    n_gamma = len(mesh.steklov_vertices())
+    # n_G is 42 and 84: blocks of 5 leave a ragged last block in both passes,
+    # blocks of 7 in the extension pass over k_max + 1 = n_G - 1 columns
+    k_max = n_gamma - 2
+    assert (k_max + 1) % block and n_gamma > 2 * block
+    monkeypatch.setattr(spectral, "DENSE_BLOCK", n_gamma)
+    whole = solve_steklov(SpectralProblem(mesh, kind, k_max=k_max))
+    monkeypatch.setattr(spectral, "DENSE_BLOCK", block)
+    blocked = solve_steklov(SpectralProblem(mesh, kind, k_max=k_max))
+    assert np.allclose(blocked.eigenvalues, dense_schur_spectrum(mesh, k_max), rtol=1e-9,
+                       atol=1e-12)
+    assert np.allclose(blocked.eigenvalues, whole.eigenvalues, rtol=1e-13, atol=1e-13)
+    assert blocked.residuals.max() < 1e-12
+    assert blocked.eigenvectors_boundary.shape == (n_gamma, k_max + 1)
+
+
+def test_dense_branch_checks_the_size_budget(disk_mesh_coarse, monkeypatch):
+    n_gamma = len(disk_mesh_coarse.steklov_vertices())
+    monkeypatch.setattr(spectral, "SIZE_BUDGET", n_gamma**2 - 1)
+    problem = SpectralProblem(disk_mesh_coarse, "steklov", k_max=n_gamma - 1)
+    with pytest.raises(UsageError, match="Steklov vertices"):
+        solve_steklov(problem)
+    # the Lanczos branch allocates no dense block and ignores the budget
+    solve_steklov(SpectralProblem(disk_mesh_coarse, "steklov", k_max=3))
 
 
 def test_repeat_solves_are_bit_identical(disk_mesh_coarse):
