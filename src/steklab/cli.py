@@ -152,9 +152,6 @@ def _certify(args) -> dict:
 
 
 def _bounds(args) -> dict:
-    which = args.bound
-    if which in ("injectivity", "both") and args.r0 is None:
-        raise UsageError(f"--bound {which} requires --r0")
     config = _covering_config(args.covering)
     if config.use_empirical:
         raise UsageError(
@@ -169,17 +166,11 @@ def _bounds(args) -> dict:
         i_m=args.i_m,
         i_sigma=args.i_sigma,
         k=args.k,
-        r_0=args.r0 if which in ("injectivity", "both") else None,
+        r_0=args.r0,
         covering=config.c_cover,
         d_ball=args.d_ball,
     )
-    report = bounds_mod.evaluate_bounds(inputs, sigma_k=args.sigma_k)
-    payload = report.to_payload()
-    if args.check_identity:
-        lhs_factor, iso_rhs = payload["isoperimetric_lhs_factor"], payload["isoperimetric_rhs"]
-        identity_err = abs(iso_rhs - lhs_factor * payload["volume_bound_rhs"]) / iso_rhs
-        payload["identity_check"] = {"relative_error": identity_err, "ok": identity_err < 1e-12}
-    return payload
+    return bounds_mod.evaluate_bounds(inputs, sigma_k=args.sigma_k).to_payload()
 
 
 def _experiment_asymptotics(args) -> tuple[dict, list]:
@@ -345,12 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i-m", type=int, required=True)
     p.add_argument("--i-sigma", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--r0", type=float)
-    p.add_argument("--bound", choices=["volume", "injectivity", "both"], default="volume")
+    p.add_argument("--r0", type=float, help="injectivity radius; also report the injectivity bound")
     p.add_argument("--sigma-k", type=float, help="computed eigenvalue to compare against")
     p.add_argument("--covering", default="literal", help="literal | integer")
     p.add_argument("--d-ball", type=float, default=1.0)
-    p.add_argument("--check-identity", action="store_true")
     p.set_defaults(func=_bounds)
 
     p = sub.add_parser("experiment", help="experiment drivers with CSV tables")

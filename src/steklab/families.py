@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay
+from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from .errors import SIZE_BUDGET, ResolutionError, UsageError, check
 from .euclidean import unit_ball_volume, unit_sphere_area
@@ -476,7 +476,8 @@ KINDS = tuple(_FAMILIES)
 def generate_mesh(desc: FamilyDescriptor) -> EmbeddedMesh:
     """Build the (validated) mesh for a family descriptor.
 
-    UsageError, before any allocation, if |M| / min(h, h_boundary)^dim exceeds SIZE_BUDGET.
+    UsageError, before any allocation, if |M| / min(h, h_boundary)^dim exceeds SIZE_BUDGET;
+    MemoryError when Qhull cannot allocate the triangulation.
     """
     family = _FAMILIES[desc.kind]
     h_min = min(desc.h, desc.h_boundary or desc.h)
@@ -485,7 +486,14 @@ def generate_mesh(desc: FamilyDescriptor) -> EmbeddedMesh:
     except (OverflowError, ZeroDivisionError):
         predicted = math.inf
     check("the predicted vertex count", predicted, high=SIZE_BUDGET)
-    return family.generate(desc)
+    try:
+        return family.generate(desc)
+    except QhullError as exc:
+        # a failed allocation reads "insufficient memory", or "did not free" when
+        # it struck while Qhull set up and the clean-up that reports it failed too
+        if not any(sign in str(exc) for sign in ("insufficient memory", "did not free")):
+            raise
+        raise MemoryError(str(exc).splitlines()[0]) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -242,11 +242,8 @@ def degree_upper_bound(pieces: Sequence) -> int:
 
     Each piece is a list of the degrees of its defining polynomials and
     contributes their product; a union contributes the sum of the pieces.
-    A flat list of integers is treated as a single piece.
     """
-    check("the number of degrees", len(pieces or ()), 1, integer=True)
-    if all(isinstance(d, (int, np.integer)) for d in pieces):
-        pieces = [list(pieces)]
+    check("the number of pieces", len(pieces), 1, integer=True)
     total = 0
     for piece in pieces:
         check("the number of degrees in a piece", len(piece), 1, integer=True)

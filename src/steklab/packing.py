@@ -52,6 +52,7 @@ from .spectral import (
 _ROW_BLOCK = 128
 # padded pair entries per lock-step covering chunk (centres x L^2)
 _COVER_CHUNK = 2**16
+# sampled ball centres per empirical covering count
 COVERING_SAMPLES = 1000
 
 
@@ -108,7 +109,7 @@ class BoundaryMeasure:
     vertex_ids: np.ndarray
     positions: np.ndarray
     weights: np.ndarray
-    # (probe radius, samples, seed) -> empirical covering count on these atoms
+    # (probe radius, seed) -> empirical covering count on these atoms
     covering_counts: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -176,10 +177,8 @@ def max_ball_measure(measure: BoundaryMeasure, r: float) -> float:
     return worst
 
 
-def empirical_covering_constant(
-    positions: np.ndarray, r: float, samples: int = COVERING_SAMPLES, seed: int = 0
-) -> int:
-    """Covering count of sampled r-balls of atoms by r/2-balls.
+def empirical_covering_constant(positions: np.ndarray, r: float, seed: int = 0) -> int:
+    """Covering count of COVERING_SAMPLES sampled r-balls of atoms by r/2-balls.
 
     Per sampled center, the atoms inside the r-ball are covered greedily by
     r/2-balls centered at atoms, always taking the candidate that covers the
@@ -187,13 +186,12 @@ def empirical_covering_constant(
     upper bound on the optimal covering number of the sampled balls).
     """
     check("r", r, 0, strict=True)
-    check("samples", samples, 1, SIZE_BUDGET, integer=True)
     rng = np.random.default_rng(seed)
     count = len(positions)
-    if count <= samples:
+    if count <= COVERING_SAMPLES:
         centers = np.arange(count)
     else:
-        centers = rng.choice(count, size=samples, replace=False)
+        centers = rng.choice(count, size=COVERING_SAMPLES, replace=False)
     worst = 1
     for _, rows, atoms, _ in _neighbours(cKDTree(positions), positions[centers], r):
         # ball i fills slots 0..sizes[i]-1 of its row, its atoms in index order
@@ -248,7 +246,7 @@ def resolve_covering_constant(
         counts = measure.covering_counts
         for c in range(2, 65):
             probe = max(choose_radius(measure.total, i_sigma, k, n, c), floor)
-            key = (probe, COVERING_SAMPLES, seed)
+            key = (probe, seed)
             if key not in counts:
                 counts[key] = empirical_covering_constant(measure.positions, *key)
             if counts[key] <= c:

@@ -32,7 +32,7 @@ from .mesh import NEUMANN, STEKLOV, EmbeddedMesh, read_only, simplex_grams
 
 KIND_STEKLOV = "steklov"
 KIND_STEKLOV_NEUMANN = "steklov-neumann"
-DENSE_BLOCK = 128  # right-hand sides per sparse solve in the dense branch
+DENSE_BLOCK = 128  # right-hand sides per blocked sparse solve: G-block and extensions
 
 
 @dataclass
@@ -145,8 +145,8 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
     the discrete harmonic extension of its trace, so S x = [K u]_G exactly.
     sigma_0 = 0 (constants) is reported, not deflated.  Residuals are the
     backward errors |(K - sigma B) u| / ((|K|_1 + sigma |B|_1) |u|) of the
-    sparse pencil, meaningful at sigma_0 too, where |K u| vanishes.  The
-    extensions are formed in the same column blocks, one block for Lanczos.
+    sparse pencil, meaningful at sigma_0 too, where |K u| vanishes.  Both
+    branches form the extensions and residuals DENSE_BLOCK columns at a time.
     """
     mesh = problem.mesh
     stiffness, mass = assemble_operators(mesh)
@@ -177,10 +177,8 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
 
     bmat = mass[gamma][:, gamma]
     want = problem.k_max + 1
-    lanczos = want < n_gamma // 4
-    block = want if lanczos else DENSE_BLOCK
     try:
-        if lanczos:
+        if want < n_gamma // 4:  # Lanczos
             op = LinearOperator(
                 (n_gamma, n_gamma), matvec=lambda y: solve_from_gamma(y)[gamma], dtype=float
             )
@@ -191,10 +189,10 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
         else:
             check("the dense branch's (Steklov vertices)^2", n_gamma**2, high=SIZE_BUDGET)
             a_inv = np.empty((n_gamma, n_gamma))  # the G-block of A^{-1}
-            for start in range(0, n_gamma, block):
-                # columns start .. start + block of the n_G x n_G identity
-                unit = np.eye(n_gamma, min(block, n_gamma - start), -start)
-                a_inv[:, start : start + block] = solve_from_gamma(unit)[gamma]
+            for start in range(0, n_gamma, DENSE_BLOCK):
+                # columns start .. start + DENSE_BLOCK of the n_G x n_G identity
+                unit = np.eye(n_gamma, min(DENSE_BLOCK, n_gamma - start), -start)
+                a_inv[:, start : start + DENSE_BLOCK] = solve_from_gamma(unit)[gamma]
             shifted = np.linalg.inv(a_inv)
             del a_inv  # and the eigensolve overwrites its two temporaries
             vals, vecs = scipy.linalg.eigh(
@@ -212,8 +210,8 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
     k_norm, b_norm = spnorm(stiffness, 1), spnorm(mass, 1)
     residuals = np.empty(want)
     traces = np.empty((n_gamma, want))
-    for start in range(0, want, block):
-        cols = slice(start, start + block)
+    for start in range(0, want, DENSE_BLOCK):
+        cols = slice(start, start + DENSE_BLOCK)
         extensions = solve_from_gamma((bmat @ vecs[:, cols]) * (vals[cols] - shift))
         misfit = stiffness @ extensions - (mass @ extensions) * vals[cols]
         residuals[cols] = np.linalg.norm(misfit, axis=0) / (

@@ -147,9 +147,9 @@ def test_criterion_5_index_estimation(circle_mesh, torus_mesh):
     circle = estimate_index(circle_mesh, samples=1000, seed=7, degree_bound=2)
     torus = estimate_index(torus_mesh, samples=10000, seed=11, degree_bound=4)
     union = [
-        degree_upper_bound([1, 2]),
-        degree_upper_bound([1, 2]),
-        degree_upper_bound([4, 2]),
+        degree_upper_bound([[1, 2]]),
+        degree_upper_bound([[1, 2]]),
+        degree_upper_bound([[4, 2]]),
         degree_upper_bound([[1, 2], [1, 2], [4, 2]]),
     ]
     ok = (

@@ -212,28 +212,35 @@ def test_certify_literal_constants_resolution_failure(tmp_path, capsys):
     code = run(["certify", "--mesh", str(mesh_path), "--k", "1",
                 "--i-sigma", "2", "--covering", "literal"])
     assert code == 4
-    assert "resolution" in capsys.readouterr().err.lower() or True
+    err = capsys.readouterr().err
+    assert "below the boundary mesh spacing" in err
+    assert err.count("\n") == 1
 
 
 def test_bounds_subcommand(capsys):
     assert run([
         "bounds", "--n", "2", "--m", "2", "--volume-m", str(math.pi),
         "--volume-sigma", str(2 * math.pi), "--i-m", "1", "--i-sigma", "2",
-        "--k", "1", "--sigma-k", "1.0", "--check-identity",
+        "--k", "1", "--sigma-k", "1.0",
     ]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["payload"]["satisfied"]["volume"] is True
-    assert doc["payload"]["identity_check"]["ok"] is True
 
 
 def test_bounds_requires_r0_for_injectivity(capsys):
-    code = run([
-        "bounds", "--n", "2", "--m", "2", "--volume-m", "1",
-        "--volume-sigma", "1", "--i-m", "1", "--i-sigma", "1",
-        "--bound", "injectivity",
-    ])
-    assert code == 2
-    assert "r0" in capsys.readouterr().err
+    argv = ["bounds", "--n", "2", "--m", "2", "--volume-m", "1", "--volume-sigma", "1",
+            "--i-m", "1", "--i-sigma", "1"]
+    assert run(argv) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["injectivity_bound_rhs"] is None and payload["k_threshold"] is None
+    assert run(argv + ["--r0", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["injectivity_bound_rhs"] > 0
+    # --r0 alone selects the injectivity bound; the identity check is criterion 11's
+    for removed in (["--bound", "injectivity"], ["--check-identity"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + removed)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("covering, expected", [("literal", 1024.0), ("7", 7.0)])
@@ -303,7 +310,7 @@ def test_bounds_both_with_r0(capsys):
     assert run([
         "bounds", "--n", "2", "--m", "3", "--volume-m", "6.28",
         "--volume-sigma", "12.57", "--i-m", "2", "--i-sigma", "4",
-        "--k", "2", "--r0", "3.14159", "--bound", "both", "--sigma-k", "1.52",
+        "--k", "2", "--r0", "3.14159", "--sigma-k", "1.52",
     ]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["payload"]["injectivity_bound_rhs"] is not None
@@ -464,7 +471,7 @@ BOUNDS_ARGS = ["bounds", "--n", "2", "--m", "2", "--volume-m", "3.14", "--volume
     [
         (["--volume-m=nan"], "volume_m"),
         (["--volume-sigma=inf"], "volume_sigma"),
-        (["--r0=nan", "--bound", "both"], "r_0"),
+        (["--r0=nan"], "r_0"),
         (["--d-ball=inf"], "d_ball"),
         (["--sigma-k=nan"], "sigma_k"),
         (["--covering", str(10**400)], "c_cover"),
@@ -533,9 +540,7 @@ def bounds_argv(draw):
     broken = draw(st.lists(st.sampled_from(sorted(options)), max_size=2, unique=True))
     for name in broken:
         options[name] = draw(st.sampled_from(_EXTREMES))
-    argv = ["bounds", *(f"{k}={v}" for k, v in options.items())]
-    argv += ["--bound", draw(st.sampled_from(["volume", "injectivity", "both"]))]
-    return argv + (["--check-identity"] if draw(st.booleans()) else [])
+    return ["bounds", *(f"{k}={v}" for k, v in options.items())]
 
 
 @given(argv=bounds_argv())
@@ -929,13 +934,17 @@ def test_unwritable_output_exits_2(tmp_path, capsys, graded_disk, command, optio
         assert err == "usage error: cannot write /dev/full: No space left on device\n"
 
 
+def _child_env():
+    """The environment of a fresh interpreter that imports this steklab."""
+    src = str(Path(steklab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def _oracle_disk_process(launcher=(), stdout=None):
     """`steklab oracle disk` in a fresh interpreter that imports this steklab."""
-    src = str(Path(steklab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = [*launcher, sys.executable, "-m", "steklab.cli", "oracle", "disk"]
-    return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
-                          timeout=120)
+    return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=_child_env(), timeout=120)
 
 
 def test_closed_standard_output_exits_2():
@@ -956,3 +965,53 @@ def test_closed_standard_output_pipe_exits_2():
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == ["usage error: cannot write the report: Broken pipe"]
+
+
+# The child caps its own address space once its imports are done, at the size
+# it has then plus a headroom, so the cap fails the request, not the start-up.
+_CAPPED_MAIN = """
+import resource, sys
+from steklab.cli import main
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:")) * 1024
+cap = size + int(sys.argv[1]) * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _capped_process(headroom_mib, argv):
+    env = {**_child_env(), "STEKLAB_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", _CAPPED_MAIN, str(headroom_mib), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+capped = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                            reason="reads the address-space size from /proc")
+
+
+@capped
+def test_qhull_out_of_memory_exits_3(tmp_path):
+    # about 787,000 points: Qhull's allocation fails after a second or two
+    mesh_out, out = tmp_path / "mesh.json", tmp_path / "report.json"
+    proc = _capped_process(160, ["mesh", "--family", "disk", "--n", "2", "--delta", "1",
+                                 "--h", "0.002", "--mesh-out", str(mesh_out), "--out", str(out)])
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["numerical failure: out of memory"]
+    assert not mesh_out.exists() and not out.exists()
+
+
+@capped
+def test_dense_branch_out_of_memory_exits_3(tmp_path):
+    # 2,992 Steklov vertices and one interior ring: the LU fits in the headroom,
+    # the 68 MiB G-block of A^{-1} and its inverse do not
+    mesh = generate_mesh(FamilyDescriptor("cylinder-surface", h=0.0042, radius=1.0, length=0.006))
+    n_gamma = len(mesh.steklov_vertices())
+    assert n_gamma == 2992 and mesh.n_vertices == 3 * n_gamma // 2
+    path, traces, out = tmp_path / "mesh.json", tmp_path / "t.csv", tmp_path / "report.json"
+    mesh.save(path)
+    proc = _capped_process(192, ["spectrum", "--mesh", str(path), "--kmax", str(n_gamma // 4),
+                                 "--traces", str(traces), "--out", str(out)])
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["numerical failure: out of memory"]
+    assert not traces.exists() and not out.exists()

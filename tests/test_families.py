@@ -1,8 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
+from steklab import families
 from steklab.errors import ResolutionError, UsageError
 from steklab.euclidean import unit_sphere_area
 from steklab.families import (
@@ -247,3 +250,22 @@ def test_revolution_closure_boundary_component_family(eps, delta):
         FamilyDescriptor("revolution-closure", h=0.2, n=2, eps=eps, delta=delta)
     )
     assert mesh.boundary_components() == 1
+
+
+@pytest.mark.parametrize(
+    "message, raised",
+    [
+        ("QH6080 qhull error (qh_memalloc): insufficient memory to allocate 65536 bytes",
+         MemoryError),
+        ("qhull: did not free 3151472 bytes (1 pieces)", MemoryError),
+        ("QH6154 Qhull precision error: Initial simplex is flat", QhullError),
+    ],
+    ids=["insufficient-memory", "did-not-free", "precision"],
+)
+def test_qhull_allocation_failure_is_a_memory_error(monkeypatch, message, raised):
+    def failing_delaunay(points):
+        raise QhullError(message)
+
+    monkeypatch.setattr(families, "Delaunay", failing_delaunay)
+    with pytest.raises(raised, match=re.escape(message.split(":")[0])):
+        generate_mesh(FamilyDescriptor("ball-flat", h=0.3, n=2, delta=1.0))

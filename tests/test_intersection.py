@@ -118,8 +118,8 @@ def test_monotone_under_refinement():
 
 
 def test_degree_upper_bound_arithmetic():
-    assert degree_upper_bound([1, 2]) == 2
-    assert degree_upper_bound([4, 2]) == 8
+    assert degree_upper_bound([[1, 2]]) == 2
+    assert degree_upper_bound([[4, 2]]) == 8
     assert degree_upper_bound([[1, 2], [1, 2], [4, 2]]) == 12
     assert degree_upper_bound([[3], [5]]) == 8
     with pytest.raises(UsageError):
@@ -127,7 +127,7 @@ def test_degree_upper_bound_arithmetic():
     with pytest.raises(UsageError):
         degree_upper_bound([[2], []])
     with pytest.raises(UsageError):
-        degree_upper_bound([0, 2])
+        degree_upper_bound([[0, 2]])
 
 
 def test_sampled_max_never_exceeds_degree_bound(circle_mesh, torus_mesh):

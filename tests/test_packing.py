@@ -7,13 +7,7 @@ from scipy.spatial.distance import cdist
 
 from steklab import mesh as mesh_module
 from steklab import packing, spectral
-from steklab.errors import (
-    SIZE_BUDGET,
-    HypothesisViolation,
-    PreconditionError,
-    ResolutionError,
-    UsageError,
-)
+from steklab.errors import HypothesisViolation, PreconditionError, ResolutionError, UsageError
 from steklab.families import FamilyDescriptor, generate_mesh
 from steklab.packing import (
     BoundaryMeasure,
@@ -95,7 +89,7 @@ def test_max_ball_measure_on_uniform_circle():
 
 def test_empirical_covering_constant_on_circle():
     measure = uniform_circle_measure()
-    c = empirical_covering_constant(measure.positions, 0.2, samples=200, seed=0)
+    c = empirical_covering_constant(measure.positions, 0.2, seed=0)
     assert 2 <= c <= 4
 
 
@@ -119,16 +113,12 @@ def test_build_packing_rejects_bad_radius(r, monkeypatch):
         build_packing(measure, r, 4, 2)
 
 
-@pytest.mark.parametrize(
-    "r, samples, name",
-    [(math.nan, 100, "r"), (-1.0, 100, "r"), (0.0, 100, "r"), (0.1, -3, "samples"),
-     (0.1, 0, "samples"), (0.1, 2.5, "samples"), (0.1, SIZE_BUDGET + 1, "samples")],
-)
-def test_covering_constant_rejects_bad_radius_and_samples(r, samples, name, monkeypatch):
+@pytest.mark.parametrize("r", [math.nan, -1.0, 0.0])
+def test_covering_constant_rejects_bad_radius(r, monkeypatch):
     positions = uniform_circle_measure(200).positions
     monkeypatch.setattr(packing, "cKDTree", no_tree)
-    with pytest.raises(UsageError, match=f"^{name} must be"):
-        empirical_covering_constant(positions, r, samples=samples)
+    with pytest.raises(UsageError, match="^r must be positive"):
+        empirical_covering_constant(positions, r)
 
 
 def test_build_packing_on_uniform_circle():
@@ -243,10 +233,10 @@ def test_config_rejects_covering_beyond_double_precision(c_cover):
 # -- the certificate kernels against their direct forms ---------------------------
 
 
-def reference_covering_constant(positions, r, samples=1000, seed=0):
+def reference_covering_constant(positions, r, seed=0):
     """The covering search with each ball taken from distances to every atom."""
     rng = np.random.default_rng(seed)
-    count = len(positions)
+    count, samples = len(positions), packing.COVERING_SAMPLES
     if count <= samples:
         centers = np.arange(count)
     else:
@@ -289,11 +279,12 @@ def reference_distance_to_set(vertices, set_positions):
         (3, 1, 0.1, 1000),
     ],
 )
-def test_covering_constant_matches_direct_balls(dim, count, r, samples):
+def test_covering_constant_matches_direct_balls(dim, count, r, samples, monkeypatch):
+    monkeypatch.setattr(packing, "COVERING_SAMPLES", samples)
     positions = np.random.default_rng(dim * 1000 + count).random((count, dim))
     for seed in (0, 11):
-        expected = reference_covering_constant(positions, r, samples=samples, seed=seed)
-        assert empirical_covering_constant(positions, r, samples=samples, seed=seed) == expected
+        expected = reference_covering_constant(positions, r, seed=seed)
+        assert empirical_covering_constant(positions, r, seed=seed) == expected
 
 
 def test_covering_constant_matches_direct_balls_at_the_probe_radius(graded_measure):
@@ -332,7 +323,7 @@ def test_ball_measure_memory_stays_within_row_blocks(graded_measure):
 
 def test_covering_memory_stays_within_row_blocks():
     cloud = np.random.default_rng(2200).random((200, 2))
-    peak = peak_bytes(lambda: empirical_covering_constant(cloud, 3.0, samples=200))
+    peak = peak_bytes(lambda: empirical_covering_constant(cloud, 3.0))
     assert peak < 20 * packing._ROW_BLOCK * 8 * 200  # about 13, one ball's pair test included
 
 
@@ -491,9 +482,9 @@ def test_covering_search_measures_each_probe_radius_once(graded_disk, monkeypatc
         measure = uniform_circle_measure(3000)
     calls = []
 
-    def counted(positions, r, samples=1000, seed=0):
+    def counted(positions, r, seed=0):
         calls.append(r)
-        return empirical_covering_constant(positions, r, samples=samples, seed=seed)
+        return empirical_covering_constant(positions, r, seed=seed)
 
     monkeypatch.setattr(packing, "empirical_covering_constant", counted)
     c, _ = resolve_covering_constant(measure, ConstantsConfig(), 2, 1, 1, 2, seed=3)
@@ -521,9 +512,9 @@ def test_certifying_several_k_computes_the_mesh_geometry_once(monkeypatch):
         gram_sizes.append(simplices.shape)
         return simplex_grams(vertices, simplices)
 
-    def counted_covering(positions, r, samples=1000, seed=0):
+    def counted_covering(positions, r, seed=0):
         covering_seeds.append(seed)
-        return empirical_covering_constant(positions, r, samples=samples, seed=seed)
+        return empirical_covering_constant(positions, r, seed=seed)
 
     monkeypatch.setattr(spectral, "_assemble", counted_assemble)
     monkeypatch.setattr(spectral, "simplex_grams", counted_grams)

@@ -191,15 +191,25 @@ def test_dense_branch_in_column_blocks(coarse_cases, case, block, monkeypatch):
     # blocks of 7 in the extension pass over k_max + 1 = n_G - 1 columns
     k_max = n_gamma - 2
     assert (k_max + 1) % block and n_gamma > 2 * block
+    # the Lanczos branch extends its k_max + 1 = 8 and 19 pairs in the same blocks
+    k_lanczos = n_gamma // 4 - 3
+    assert (k_lanczos + 1) % block
     monkeypatch.setattr(spectral, "DENSE_BLOCK", n_gamma)
     whole = solve_steklov(SpectralProblem(mesh, kind, k_max=k_max))
+    whole_lanczos = solve_steklov(SpectralProblem(mesh, kind, k_max=k_lanczos))
     monkeypatch.setattr(spectral, "DENSE_BLOCK", block)
     blocked = solve_steklov(SpectralProblem(mesh, kind, k_max=k_max))
+    blocked_lanczos = solve_steklov(SpectralProblem(mesh, kind, k_max=k_lanczos))
     assert np.allclose(blocked.eigenvalues, dense_schur_spectrum(mesh, k_max), rtol=1e-9,
                        atol=1e-12)
     assert np.allclose(blocked.eigenvalues, whole.eigenvalues, rtol=1e-13, atol=1e-13)
     assert blocked.residuals.max() < 1e-12
     assert blocked.eigenvectors_boundary.shape == (n_gamma, k_max + 1)
+    assert np.allclose(blocked_lanczos.eigenvalues, whole_lanczos.eigenvalues, rtol=1e-13,
+                       atol=1e-13)
+    assert np.allclose(blocked_lanczos.eigenvectors_boundary, whole_lanczos.eigenvectors_boundary,
+                       rtol=1e-13, atol=1e-13)
+    assert blocked_lanczos.residuals.max() < 1e-12
 
 
 def test_dense_branch_checks_the_size_budget(disk_mesh_coarse, monkeypatch):
