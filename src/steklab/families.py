@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError
 
-from .errors import SIZE_BUDGET, ResolutionError, UsageError, check
+from .errors import SIZE_BUDGET, NumericalError, ResolutionError, UsageError, check
 from .euclidean import unit_ball_volume, unit_sphere_area
 from .mesh import NEUMANN, STEKLOV, EmbeddedMesh, boundary_facets
 
@@ -477,7 +477,8 @@ def generate_mesh(desc: FamilyDescriptor) -> EmbeddedMesh:
     """Build the (validated) mesh for a family descriptor.
 
     UsageError, before any allocation, if |M| / min(h, h_boundary)^dim exceeds SIZE_BUDGET;
-    MemoryError when Qhull cannot allocate the triangulation.
+    MemoryError when Qhull cannot allocate the triangulation, NumericalError
+    when it fails otherwise (a flat initial simplex at extreme scales).
     """
     family = _FAMILIES[desc.kind]
     h_min = min(desc.h, desc.h_boundary or desc.h)
@@ -491,9 +492,10 @@ def generate_mesh(desc: FamilyDescriptor) -> EmbeddedMesh:
     except QhullError as exc:
         # a failed allocation reads "insufficient memory", or "did not free" when
         # it struck while Qhull set up and the clean-up that reports it failed too
-        if not any(sign in str(exc) for sign in ("insufficient memory", "did not free")):
-            raise
-        raise MemoryError(str(exc).splitlines()[0]) from exc
+        first = str(exc).splitlines()[0]
+        if any(sign in str(exc) for sign in ("insufficient memory", "did not free")):
+            raise MemoryError(first) from exc
+        raise NumericalError(first) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonTransverseSample, PreconditionError, UsageError, check
 from .euclidean import unit_sphere_area
-from .mesh import EmbeddedMesh
+from .mesh import EmbeddedMesh, read_only
 
 BARYCENTRIC_TOL = 1e-9
 CONDITION_MAX = 1e10
@@ -26,6 +26,7 @@ AUDIT_POINTS_PER_CELL = 1000  # barycentric quadrature points per straddling cel
 _HILL_CLIMB_ROUNDS = 200
 _HILL_CLIMB_ANNEAL_EVERY = 50
 _AUDIT_CHUNK = 256  # straddling cells per quadrature GEMM: bounds its (cells, P) block
+_SCREEN_BUDGET = 2**17  # gathered distances per block of sampled planes: 1 MiB
 
 
 @dataclass
@@ -92,67 +93,98 @@ class IndexEstimate:
 def plane_mesh_intersections(plane: AffinePlane, mesh: EmbeddedMesh) -> int:
     """Number of transverse intersection points of the plane with the mesh.
 
+    The one-plane case of count_planes; raises its NonTransverseSample, and
+    the caller must resample.
+    """
+    (outcome,) = count_planes([plane], mesh)
+    if isinstance(outcome, NonTransverseSample):
+        raise outcome
+    return outcome
+
+
+def count_planes(planes: Sequence[AffinePlane], mesh: EmbeddedMesh) -> list:
+    """Per plane, its transverse intersection count or a NonTransverseSample.
+
     Per cell, solves the affine system {normal_rows (V lam) = offset,
     sum(lam) = 1} and counts a hit when all barycentric coordinates exceed
-    BARYCENTRIC_TOL.  A grazing solution (minimum coordinate within
-    BARYCENTRIC_TOL of zero) or a system conditioned worse than CONDITION_MAX
-    raises NonTransverseSample: the plane does not qualify for the supremum
-    and the caller must resample.  Cells are screened first by reducing a
-    slot-major (c, n+1, C) gather of the signed distances over its short
-    vertex-slot axis.
+    BARYCENTRIC_TOL.  A NonTransverseSample names the first fault in this
+    order among the plane's systems: a condition number above CONDITION_MAX,
+    a singular system, a grazing solution (minimum coordinate within
+    BARYCENTRIC_TOL of zero).  Cells are
+    screened first by reducing a slot-major (planes, n+1, C, c) gather of the
+    signed distances over its short vertex-slot axis.  Stacked LAPACK calls
+    run per matrix, so no outcome depends on the block it is counted in.
     """
-    if plane.ambient_dim != mesh.ambient_dim:
-        raise UsageError("plane and mesh ambient dimensions differ")
-    if plane.codim != mesh.intrinsic_dim:
-        raise UsageError(
-            f"plane codimension {plane.codim} must equal mesh dimension "
-            f"{mesh.intrinsic_dim} for point intersections"
-        )
-    signed = (mesh.vertices @ plane.normal_rows.T - plane.offset).T  # (c, N)
-    slack = BARYCENTRIC_TOL * (np.abs(signed).max() + 1.0)
-    per_slot = np.take(signed, mesh.cells.T, axis=1)  # (c, n+1, C)
-    lo, hi = per_slot.min(axis=1), per_slot.max(axis=1)
-    candidates = np.nonzero(np.all((lo <= slack) & (hi >= -slack), axis=0))[0]
-    if candidates.size == 0:
-        return 0
+    for plane in planes:
+        if plane.ambient_dim != mesh.ambient_dim:
+            raise UsageError("plane and mesh ambient dimensions differ")
+        if plane.codim != mesh.intrinsic_dim:
+            raise UsageError(
+                f"plane codimension {plane.codim} must equal mesh dimension "
+                f"{mesh.intrinsic_dim} for point intersections"
+            )
+    signed = np.empty((len(planes), mesh.n_vertices, mesh.intrinsic_dim))  # (P, N, c)
+    for plane, out in zip(planes, signed):
+        np.subtract(mesh.vertices @ plane.normal_rows.T, plane.offset, out=out)
+    slack = BARYCENTRIC_TOL * (np.abs(signed).max(axis=(1, 2)) + 1.0)[:, None, None]
+    slots = mesh.cached("slot_cells", lambda m: read_only(np.ascontiguousarray(m.cells.T)))
+    per_slot = np.take(signed, slots, axis=1)  # (P, n+1, C, c)
+    screen = (per_slot.min(axis=1) <= slack) & (per_slot.max(axis=1) >= -slack)
+    near = screen[..., 0]
+    for row in range(1, mesh.intrinsic_dim):  # NumPy reduces a short last axis slowly
+        near = near & screen[..., row]
+    owner, cell = np.divmod(np.flatnonzero(near), len(mesh.cells))
+    if cell.size == 0:
+        return [0] * len(planes)
 
     k = mesh.intrinsic_dim + 1
-    systems = np.empty((len(candidates), k, k))
-    systems[:, :-1, :] = per_slot[:, :, candidates].transpose(2, 0, 1)
+    systems = np.empty((len(cell), k, k))
+    systems[:, :-1, :] = per_slot[owner, :, cell].transpose(0, 2, 1)
     systems[:, -1, :] = 1.0
     s = np.linalg.svd(systems, compute_uv=False)  # condition number s[0] / s[-1]
-    if not (s[:, 0] <= CONDITION_MAX * s[:, -1]).all():  # NaN and s[-1] == 0 fail too
-        raise NonTransverseSample("ill-conditioned plane-cell system")
+    ok = s[:, 0] <= CONDITION_MAX * s[:, -1]  # NaN and s[-1] == 0 fail too
     try:
-        lam = np.linalg.solve(systems, np.eye(k)[None, :, -1:])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise NonTransverseSample("singular plane-cell system") from exc
-    lam_min = lam.min(axis=1)
-    if np.any(np.abs(lam_min) <= BARYCENTRIC_TOL):
-        raise NonTransverseSample("intersection point grazes a cell facet")
-    return int(np.count_nonzero(lam_min > BARYCENTRIC_TOL))
+        lam_min = np.linalg.solve(systems[ok], np.eye(k)[None, :, -1:])[:, :, 0].min(axis=1)
+    except np.linalg.LinAlgError:  # a singular system: count its plane alone
+        if len(planes) > 1:
+            return [outcome for p in planes for outcome in count_planes([p], mesh)]
+        reason = "singular" if ok.all() else "ill-conditioned"
+        return [NonTransverseSample(f"{reason} plane-cell system")]
+    good = owner[ok]
+    outcomes = np.bincount(good[lam_min > BARYCENTRIC_TOL], minlength=len(planes)).tolist()
+    for i in good[np.abs(lam_min) <= BARYCENTRIC_TOL].tolist():
+        outcomes[i] = NonTransverseSample("intersection point grazes a cell facet")
+    for i in owner[~ok].tolist():  # second, so that this reason prevails
+        outcomes[i] = NonTransverseSample("ill-conditioned plane-cell system")
+    return outcomes
+
+
+def _random_planes(rng: np.random.Generator, codim: int, lo, hi, count: int) -> list:
+    """`count` rotation-invariant planes, each through a point of the inflated
+    bounding box; draws from rng exactly as `count` successive single draws."""
+    m = len(lo)
+    draws = [(rng.standard_normal((codim, m)), rng.uniform(-1.0, 1.0, size=m))
+             for _ in range(count)]
+    q, _ = np.linalg.qr(np.stack([rows.T for rows, _ in draws]))
+    center = 0.5 * (lo + hi)
+    span = 0.5 * (hi - lo) * 1.2 + 1e-12
+    anchors = [center + unit * span for _, unit in draws]
+    return [AffinePlane(q_one.T, q_one.T @ anchor) for q_one, anchor in zip(q, anchors)]
 
 
 def _random_plane(rng: np.random.Generator, codim: int, lo, hi) -> AffinePlane:
     """Rotation-invariant plane through a point of the inflated bounding box."""
-    m = len(lo)
-    rows = rng.standard_normal((codim, m))
-    q, _ = np.linalg.qr(rows.T)
-    rows = q[:, :codim].T
-    center = 0.5 * (lo + hi)
-    span = 0.5 * (hi - lo) * 1.2 + 1e-12
-    anchor = center + rng.uniform(-1.0, 1.0, size=m) * span
-    return AffinePlane(rows, rows @ anchor)
+    return _random_planes(rng, codim, lo, hi, 1)[0]
 
 
 def _perturbed_plane(
-    rng: np.random.Generator, plane: AffinePlane, step: float, span: float
+    rng: np.random.Generator, plane: AffinePlane, foot: np.ndarray, step: float, span: float
 ) -> AffinePlane:
+    """A perturbation of `plane`, whose least-squares point nearest 0 is `foot`."""
     rows = plane.normal_rows + step * rng.standard_normal(plane.normal_rows.shape)
     q, _ = np.linalg.qr(rows.T)
     rows = q[:, : plane.codim].T
-    offset = rows @ np.linalg.lstsq(plane.normal_rows, plane.offset, rcond=None)[0]
-    offset = offset + step * span * rng.standard_normal(plane.codim)
+    offset = rows @ foot + step * span * rng.standard_normal(plane.codim)
     return AffinePlane(rows, offset)
 
 
@@ -168,9 +200,12 @@ def estimate_index(
     Draws `samples` transverse planes (Gaussian orientation, offset anchored
     uniformly in a 20%-inflated bounding box), keeps the running maximum,
     then optionally hill-climbs around the best plane with annealed
-    perturbations.  Deterministic for a fixed seed.  The reported maximum is
-    re-counted on the witness plane before returning.  A PL mesh can exceed
-    its smooth surface's index: the h=0.22 torus reaches 6 at seed 15.
+    perturbations.  Deterministic for a fixed seed.  The samples are drawn
+    and counted in blocks of at most _SCREEN_BUDGET gathered distances, none
+    longer than the samples or rejections still allowed: the same stream and
+    payload as one plane at a time.  The reported maximum is re-counted on
+    the witness plane before returning.  A PL mesh can exceed its smooth
+    surface's index: the h=0.22 torus reaches 6 at seed 15.
     """
     check("samples", samples, 1, integer=True)
     check("seed", seed, 0, integer=True)
@@ -181,34 +216,37 @@ def estimate_index(
 
     rejections = 0
     max_rejections = samples * 10
+    block = max(1, _SCREEN_BUDGET // (codim * (codim + 1) * len(mesh.cells)))
     best = -1
     witness = None
     histogram: dict[int, int] = {}
     drawn = 0
     while drawn < samples:
-        plane = _random_plane(rng, codim, lo, hi)
-        try:
-            count = plane_mesh_intersections(plane, mesh)
-        except NonTransverseSample:
-            rejections += 1
-            if rejections > max_rejections:
-                raise PreconditionError(
-                    "all sampled planes were degenerate; the mesh may be pathological"
-                )
-            continue
-        drawn += 1
-        histogram[count] = histogram.get(count, 0) + 1
-        if count > best:
-            best = count
-            witness = plane
+        # no block outlasts the samples still wanted or the rejections still allowed
+        size = min(samples - drawn, max_rejections - rejections + 1, block)
+        planes = _random_planes(rng, codim, lo, hi, size)
+        for plane, count in zip(planes, count_planes(planes, mesh)):
+            if isinstance(count, NonTransverseSample):
+                rejections += 1
+                if rejections > max_rejections:
+                    raise PreconditionError(
+                        "all sampled planes were degenerate; the mesh may be pathological"
+                    )
+                continue
+            drawn += 1
+            histogram[count] = histogram.get(count, 0) + 1
+            if count > best:
+                best = count
+                witness = plane
 
     improvements = 0
     if hill_climb and witness is not None:
         step = 0.1
+        foot = np.linalg.lstsq(witness.normal_rows, witness.offset, rcond=None)[0]
         for round_idx in range(_HILL_CLIMB_ROUNDS):
             if round_idx and round_idx % _HILL_CLIMB_ANNEAL_EVERY == 0:
                 step *= 0.5
-            candidate = _perturbed_plane(rng, witness, step, span)
+            candidate = _perturbed_plane(rng, witness, foot, step, span)
             try:
                 count = plane_mesh_intersections(candidate, mesh)
             except NonTransverseSample:
@@ -217,6 +255,7 @@ def estimate_index(
             if count > best:
                 best = count
                 witness = candidate
+                foot = np.linalg.lstsq(witness.normal_rows, witness.offset, rcond=None)[0]
                 improvements += 1
 
     recount = plane_mesh_intersections(witness, mesh)

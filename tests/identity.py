@@ -56,6 +56,9 @@ COMMANDS = {
                          "--out <dir>/r3.json",
     "index:circle": "index --mesh <dir>/sphere2.json --samples 200 --seed 7 --degrees 2",
     "index:torus": "index --mesh <dir>/torus.json --samples 200 --seed 3",
+    "index:circle-blocks": "index --mesh <dir>/sphere2.json --samples 1000 --seed 11 --degrees 2",
+    "index:revolution-no-climb": "index --mesh <dir>/revolution.json --samples 300 --seed 2 "
+                                 "--no-hill-climb",
     "certify:disk": "certify --mesh <dir>/ball2g.json --k 1 --i-sigma 2 --seed 5",
     "certify:annulus-c64": "certify --mesh <dir>/annulus2.json --k 1 --i-sigma 2 --covering 2",
     "bounds:volume": "bounds --n 2 --m 2 --volume-m 3.14159 --volume-sigma 6.28319 --i-m 1 "

@@ -567,6 +567,23 @@ def test_mesh_non_finite_size_exits_2(tmp_path, capsys, option):
     assert not out.exists() and not mesh_out.exists()
 
 
+@pytest.mark.parametrize("delta", ["1e100", "1e150", "1e-150"])
+def test_mesh_flat_qhull_simplex_exits_3(tmp_path, capsys, delta):
+    # the 20-vertex disk meshes at 1e-20 and 1e20; at these scales Qhull
+    # finds its initial simplex flat
+    mesh_out = tmp_path / "mesh.json"
+    out = tmp_path / "report.json"
+    argv = ["mesh", "--family", "disk", "--n", "2", "--delta", delta,
+            "--h", str(float(delta) / 2), "--mesh-out", str(mesh_out)]
+    code, err = run_clean(argv, capsys, out)
+    assert code == 3
+    assert err.splitlines() == [
+        "numerical failure: QH6154 Qhull precision error: Initial simplex is flat "
+        "(facet 1 is coplanar with the interior point)"
+    ]
+    assert not out.exists() and not mesh_out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_spectrum_non_finite_tolerance_exits_2(tmp_path, capsys, disk_document, value):
     mesh_path = tmp_path / "mesh.json"

@@ -6,7 +6,7 @@ import pytest
 from scipy.spatial import QhullError
 
 from steklab import families
-from steklab.errors import ResolutionError, UsageError
+from steklab.errors import NumericalError, ResolutionError, UsageError
 from steklab.euclidean import unit_sphere_area
 from steklab.families import (
     FamilyDescriptor,
@@ -258,7 +258,7 @@ def test_revolution_closure_boundary_component_family(eps, delta):
         ("QH6080 qhull error (qh_memalloc): insufficient memory to allocate 65536 bytes",
          MemoryError),
         ("qhull: did not free 3151472 bytes (1 pieces)", MemoryError),
-        ("QH6154 Qhull precision error: Initial simplex is flat", QhullError),
+        ("QH6154 Qhull precision error: Initial simplex is flat", NumericalError),
     ],
     ids=["insufficient-memory", "did-not-free", "precision"],
 )

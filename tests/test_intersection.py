@@ -15,7 +15,9 @@ from steklab.intersection import (
     CONDITION_MAX,
     AffinePlane,
     _random_plane,
+    _random_planes,
     concentration_audit,
+    count_planes,
     degree_upper_bound,
     estimate_index,
     plane_mesh_intersections,
@@ -167,19 +169,22 @@ def test_degree_bound_violation_detected(circle_mesh):
 
 
 def _rejecting_counter(monkeypatch, rejected):
-    """Replace the plane counter by one that raises NonTransverseSample on the
-    call numbers (from 0) in `rejected`, or on every call when it is None;
-    returns the list of call numbers made."""
-    count = intersection.plane_mesh_intersections
+    """Replace the block plane counter by one that rejects the planes numbered
+    (from 0, in draw order) in `rejected`, or every plane when it is None;
+    returns the list of plane numbers counted."""
+    count = intersection.count_planes
     calls = []
 
-    def counter(plane, mesh):
-        calls.append(len(calls))
-        if rejected is None or calls[-1] in rejected:
-            raise NonTransverseSample("rejected by the test")
-        return count(plane, mesh)
+    def counter(planes, mesh):
+        outcomes = []
+        for outcome in count(planes, mesh):
+            calls.append(len(calls))
+            if rejected is None or calls[-1] in rejected:
+                outcome = NonTransverseSample("rejected by the test")
+            outcomes.append(outcome)
+        return outcomes
 
-    monkeypatch.setattr(intersection, "plane_mesh_intersections", counter)
+    monkeypatch.setattr(intersection, "count_planes", counter)
     return calls
 
 
@@ -327,6 +332,17 @@ def _loose_straddle_audit(mesh, index_bound, trials, seed=0):
     return worst
 
 
+def _strided_block(planes, mesh):
+    """_strided_count as a block counter: per plane, its count or its exception."""
+    outcomes = []
+    for plane in planes:
+        try:
+            outcomes.append(_strided_count(plane, mesh))
+        except NonTransverseSample as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 def _outcome(count_fn, plane, mesh):
     try:
         return count_fn(plane, mesh)
@@ -388,7 +404,7 @@ def test_estimate_payload_matches_strided_reference(
         assert current.sampled_max == 6
         assert current.count_histogram == {0: 403, 2: 526, 4: 70, 6: 1}
         assert _moller_trumbore_hits(current.witness_plane, mesh) == 6
-    monkeypatch.setattr(intersection, "plane_mesh_intersections", _strided_count)
+    monkeypatch.setattr(intersection, "count_planes", _strided_block)
     reference = estimate_index(mesh, samples=1000, seed=seed, degree_bound=degree_bound)
     assert current.to_payload() == reference.to_payload()
 
@@ -499,3 +515,111 @@ def test_pl_torus_six_hit_plane_breaks_degree_bound_four(torus_mesh):
     # seed 15 draws the 6-hit plane pinned in the payload test above
     with pytest.raises(PreconditionError, match="degree bound"):
         estimate_index(torus_mesh, samples=1000, seed=15, degree_bound=4)
+
+
+# -- plane blocks --------------------------------------------------------------
+
+
+def _circle_and_sliver(circle_mesh, rng):
+    """The circle with a sliver segment beside it, crossing the line x = 5
+    with a plane-cell system conditioned far worse than CONDITION_MAX, and a
+    segment from (5, 2) to (6, 2) that the line grazes; returns the mesh and
+    that line, which must be reported ill-conditioned."""
+    while True:
+        sliver, plane, system = _sliver_cell(rng, 1)
+        if np.linalg.cond(system) > 10 * CONDITION_MAX:
+            break
+    n = circle_mesh.n_vertices
+    mesh = EmbeddedMesh(
+        np.vstack([circle_mesh.vertices, sliver.vertices + [5.0, 0.0], [[5.0, 2.0], [6.0, 2.0]]]),
+        np.vstack([circle_mesh.cells, sliver.cells + n, [[n + 2, n + 3]]]),
+        np.vstack([sliver.boundary_faces + n, [[n + 2], [n + 3]]]),
+        [*sliver.face_tags, "steklov", "steklov"],
+    )
+    return mesh, AffinePlane(plane.normal_rows, plane.offset + 5.0)
+
+
+def _block_outcomes(planes, mesh):
+    return [
+        f"non-transverse: {outcome}" if isinstance(outcome, NonTransverseSample) else outcome
+        for outcome in count_planes(planes, mesh)
+    ]
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, None])
+def test_block_count_matches_strided_reference(size, circle_mesh):
+    rng = np.random.default_rng(31)
+    mesh, sliver_line = _circle_and_sliver(circle_mesh, rng)
+    if size is None:  # the block estimate_index draws on this mesh
+        size = intersection._SCREEN_BUDGET // (2 * len(mesh.cells))
+    lo, hi = circle_mesh.bounding_box()
+    pool = [_random_plane(rng, 1, lo, hi) for _ in range(max(size, 7))]
+    odd = [horizontal_line(5.0), horizontal_line(0.0), sliver_line]
+    expected = {id(p): _outcome(_strided_count, p, mesh) for p in pool + odd}
+    assert [expected[id(p)] for p in odd] == [
+        0,
+        "non-transverse: intersection point grazes a cell facet",
+        "non-transverse: ill-conditioned plane-cell system",
+    ]
+    assert {0, 2} <= {expected[id(p)] for p in pool[:7]}
+    drawn = pool[:size]
+    # each odd plane at every position (a sample of them in the largest block),
+    # then all three together
+    positions = range(size) if size <= 7 else sorted({0, 1, size // 2, size - 2, size - 1})
+    blocks = [drawn] + [
+        drawn[:i] + [plane] + drawn[i + 1:] for plane in odd for i in positions
+    ]
+    if size >= len(odd):
+        blocks.append([*odd, *drawn[len(odd):]][::-1])
+    for block in blocks:
+        assert _block_outcomes(block, mesh) == [expected[id(p)] for p in block]
+    for plane in drawn[:3] + odd:
+        assert _outcome(plane_mesh_intersections, plane, mesh) == expected[id(plane)]
+
+
+@pytest.mark.parametrize("ambient, codim", [(2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("count", [1, 3, 17])
+def test_block_draws_match_single_draws(ambient, codim, count):
+    lo, hi = -np.arange(1.0, ambient + 1.0), np.arange(2.0, ambient + 2.0)
+    single, stacked = np.random.default_rng(5), np.random.default_rng(5)
+    one_by_one = [_random_plane(single, codim, lo, hi) for _ in range(count)]
+    block = _random_planes(stacked, codim, lo, hi, count)
+    assert single.bit_generator.state == stacked.bit_generator.state
+    for a, b in zip(one_by_one, block, strict=True):
+        assert a.normal_rows.tobytes() == b.normal_rows.tobytes()
+        assert a.offset.tobytes() == b.offset.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mesh_name, samples, seed", [("circle_mesh", 300, 3), ("coarse_torus", 100, 5)]
+)
+def test_estimate_payload_does_not_depend_on_block_size(
+    mesh_name, samples, seed, request, monkeypatch
+):
+    mesh = request.getfixturevalue(mesh_name)
+    default = estimate_index(mesh, samples=samples, seed=seed).to_payload()
+    per_plane = mesh.intrinsic_dim * (mesh.intrinsic_dim + 1) * len(mesh.cells)
+    for size in (1, 3, samples):
+        monkeypatch.setattr(intersection, "_SCREEN_BUDGET", size * per_plane)
+        assert estimate_index(mesh, samples=samples, seed=seed).to_payload() == default
+
+
+def test_singular_system_is_found_plane_by_plane(circle_mesh, monkeypatch):
+    # no system that passes the condition check has come out singular, so a
+    # solve that fails on the marked plane's systems stands in for one
+    marked = horizontal_line(0.137)
+    distances = circle_mesh.vertices[:, 1] - 0.137
+    solve = np.linalg.solve
+
+    def failing_solve(systems, rhs):
+        if np.isin(systems[:, 0, 0], distances).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(systems, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    block = [horizontal_line(-0.731), marked, horizontal_line(5.0)]
+    assert _block_outcomes(block, circle_mesh) == [
+        2, "non-transverse: singular plane-cell system", 0
+    ]
+    with pytest.raises(NonTransverseSample, match="singular"):
+        plane_mesh_intersections(marked, circle_mesh)
