@@ -1,15 +1,6 @@
 """steklab: a numerical laboratory for Steklov eigenvalue problems on
 submanifolds of Euclidean space."""
 
-import os
-
-# honour STEKLAB_THREADS before any numerical library spins up its pools
-_threads = os.environ.get("STEKLAB_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-del os, _threads
-
 __version__ = "0.1.0"
 
 from .families import FamilyDescriptor, GeometricSummary, generate_mesh, geometric_summary

@@ -7,7 +7,8 @@ PreconditionError (and subclasses) -> 4.
 import math
 import numbers
 
-SIZE_BUDGET = 10**7  # the most vertices, values, grid nodes or modes one input may ask for
+# the most vertices, values, grid nodes, modes, samples or trials one input may ask for
+SIZE_BUDGET = 10**7
 
 
 class SteklabError(Exception):

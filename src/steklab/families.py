@@ -11,9 +11,10 @@ Families (kind strings):
                            and a disk cap; one boundary circle of radius eps
   product-annulus-circle   A(eps, delta) x S^1_R as a 3-manifold in R^4 (n = 2)
 
-All generators place vertices exactly on the family geometry and take the
-boundary faces, in facet-table order, from the cells' free facets; every
-EmbeddedMesh validates itself on construction.  `h` is the target edge
+Generators return only geometry, with vertices exactly on the family geometry.
+`generate_mesh` alone builds the mesh: it takes the boundary faces, in
+facet-table order, from the cells' free facets, tags them, names the family in
+the metadata, and the EmbeddedMesh validates itself.  `h` is the target edge
 length; `h_boundary` optionally grades the mesh toward the Steklov boundary
 (tangential spacing h_boundary, normal spacing from 9x that), which the
 packing pipeline needs when its radius is much smaller than h.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError
@@ -145,16 +146,14 @@ def _shells(radii, h: float) -> list[np.ndarray]:
     ]
 
 
-def _bounded_mesh(points, cells, metadata, steklov=None) -> EmbeddedMesh:
-    """Mesh whose boundary faces are the cells' free facets.
+class _Geometry(NamedTuple):
+    """What a family generator returns: a mesh before its boundary is taken."""
 
-    steklov(faces) -> bool per face picks the Steklov faces, the rest are
-    tagged neumann; by default every face is Steklov.
-    """
-    faces = boundary_facets(cells)
-    is_steklov = np.ones(len(faces), dtype=bool) if steklov is None else steklov(faces)
-    tags = np.where(is_steklov, STEKLOV, NEUMANN).astype(object)
-    return EmbeddedMesh(points, cells, faces, tags, metadata)
+    points: np.ndarray
+    cells: np.ndarray
+    # steklov(faces) -> bool per boundary face, the rest are neumann; None: all Steklov
+    steklov: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    extra: Optional[dict] = None  # metadata beyond the family and n
 
 
 def _nearer_inner(radius: np.ndarray, eps: float, delta: float):
@@ -194,7 +193,7 @@ def _band_cells(ring_ids: list[np.ndarray]) -> np.ndarray:
 def _structured_annulus(eps, delta, h, h_fine=None):
     """Structured ring-lattice triangle mesh of the planar annulus, graded fine at radius eps.
 
-    Returns (points, triangles, inner_ring_ids, outer_ring_ids).
+    Returns (points, triangles, outer_ring_ids).
     """
     h_radial = None if h_fine is None else min(h, _NORMAL_TO_TANGENT * h_fine)
     radii = eps + _graded_offsets(delta - eps, h, h_radial)
@@ -204,7 +203,7 @@ def _structured_annulus(eps, delta, h, h_fine=None):
     )
     points = _rings(2.0 * math.pi * np.arange(ntheta) / ntheta, radii).reshape(-1, 2)
     ring_ids = np.arange(len(points)).reshape(len(radii), ntheta)
-    return points, _band_cells(ring_ids), ring_ids[0], ring_ids[-1]
+    return points, _band_cells(ring_ids), ring_ids[-1]
 
 
 def _delaunay_disk(delta: float, h: float, boundary_count: Optional[int] = None):
@@ -251,72 +250,61 @@ def _structured_disk(delta: float, h: float, h_fine: float):
 # family generators
 
 
-def _mesh_ball(desc: FamilyDescriptor) -> EmbeddedMesh:
+def _mesh_ball(desc: FamilyDescriptor) -> _Geometry:
     delta = desc.delta
     _require_resolved(delta, desc.h, "boundary sphere")
     if desc.n == 2:
         if desc.h_boundary is not None and desc.h_boundary < desc.h:
-            points, tris = _structured_disk(delta, desc.h, desc.h_boundary)
-        else:
-            points, tris = _delaunay_disk(delta, desc.h)
-        return _bounded_mesh(points, tris, {"family": "ball-flat", "n": 2})
+            return _Geometry(*_structured_disk(delta, desc.h, desc.h_boundary))
+        return _Geometry(*_delaunay_disk(delta, desc.h))
     # n = 3: layered Fibonacci shells plus the center, Delaunay-filled
     radii = delta - _graded_offsets(delta, desc.h, desc.h_boundary)
     points = np.vstack([np.zeros((1, 3)), *_shells(radii[radii > 1e-12 * delta], desc.h)])
     tets = Delaunay(points).simplices.astype(np.int64)
-    return _bounded_mesh(points, tets, {"family": "ball-flat", "n": 3})
+    return _Geometry(points, tets)
 
 
-def _mesh_annulus(desc: FamilyDescriptor) -> EmbeddedMesh:
+def _mesh_annulus(desc: FamilyDescriptor) -> _Geometry:
     eps, delta = desc.eps, desc.delta
     _require_resolved(eps, desc.h, "inner sphere")
     if desc.n == 2:
-        points, tris, inner, _ = _structured_annulus(eps, delta, desc.h, desc.h_boundary)
-        return _bounded_mesh(
-            points, tris, {"family": "annulus-flat", "n": 2},
-            lambda faces: np.isin(faces, inner).all(axis=1),
-        )
-    # n = 3: spherical shell; Delaunay fills the hole, drop the hole tets
-    radii = eps + _graded_offsets(delta - eps, desc.h, desc.h_boundary)
-    gap = radii[1] - radii[0]
-    points = np.vstack(_shells(radii, desc.h))
-    tets = Delaunay(points).simplices.astype(np.int64)
-    vertex_r = np.linalg.norm(points, axis=1)
-    keep = ~np.all(vertex_r[tets] < eps + 0.5 * gap, axis=1)
-    return _bounded_mesh(
-        points, tets[keep], {"family": "annulus-flat", "n": 3}, _nearer_inner(vertex_r, eps, delta)
-    )
+        points, cells, _ = _structured_annulus(eps, delta, desc.h, desc.h_boundary)
+    else:  # a spherical shell: Delaunay fills the hole, drop the hole tets
+        radii = eps + _graded_offsets(delta - eps, desc.h, desc.h_boundary)
+        gap = radii[1] - radii[0]
+        points = np.vstack(_shells(radii, desc.h))
+        tets = Delaunay(points).simplices.astype(np.int64)
+        cells = tets[~np.all(np.linalg.norm(points, axis=1)[tets] < eps + 0.5 * gap, axis=1)]
+    return _Geometry(points, cells, _nearer_inner(np.linalg.norm(points, axis=1), eps, delta))
 
 
-def _mesh_cylinder(desc: FamilyDescriptor) -> EmbeddedMesh:
+def _mesh_cylinder(desc: FamilyDescriptor) -> _Geometry:
     rho, length = desc.radius, desc.length
     _require_resolved(rho, desc.h, "boundary circle")
-    h_ang = desc.h_boundary if desc.h_boundary else desc.h
-    ntheta = _angular_count(2.0 * math.pi * rho, h_ang)
+    ntheta = _angular_count(2.0 * math.pi * rho, desc.h_boundary or desc.h)
     h_axial = None if desc.h_boundary is None else min(desc.h, _NORMAL_TO_TANGENT * desc.h_boundary)
     zs = _two_sided_offsets(length, desc.h, h_axial)
     circle = _rings(2.0 * math.pi * np.arange(ntheta) / ntheta, [rho])[0]
     points = np.column_stack([np.tile(circle, (len(zs), 1)), np.repeat(zs, ntheta)])
     ring_ids = np.arange(len(points)).reshape(len(zs), ntheta)
-    return _bounded_mesh(points, _band_cells(ring_ids), {"family": "cylinder-surface"})
+    return _Geometry(points, _band_cells(ring_ids))
 
 
-def _mesh_sphere(desc: FamilyDescriptor) -> EmbeddedMesh:
+def _mesh_sphere(desc: FamilyDescriptor) -> _Geometry:
     eps = desc.eps
     _require_resolved(eps, desc.h, "sphere")
     if desc.n == 2:
         ntheta = _angular_count(2.0 * math.pi * eps, desc.h)
-        angles = 2.0 * math.pi * np.arange(ntheta) / ntheta
-        points = eps * np.column_stack([np.cos(angles), np.sin(angles)])
-        cells = np.column_stack([np.arange(ntheta), np.roll(np.arange(ntheta), -1)])
-        return _bounded_mesh(points, cells, {"family": "sphere-boundary", "n": 2})
+        points = _rings(2.0 * math.pi * np.arange(ntheta) / ntheta, [eps])[0]
+        ring = np.arange(ntheta)
+        return _Geometry(points, np.column_stack([ring, np.roll(ring, -1)]))
     count = max(50, int(round(4.0 * math.pi * eps * eps / (desc.h * desc.h))))
     points = _fibonacci_sphere(count, eps)
     cells = ConvexHull(points).simplices.astype(np.int64)
-    return _bounded_mesh(points, cells, {"family": "sphere-boundary", "n": 3})
+    return _Geometry(points, cells)
 
 
-def _mesh_torus(desc: FamilyDescriptor) -> EmbeddedMesh:
+def _mesh_torus(desc: FamilyDescriptor) -> _Geometry:
     big, small = desc.major_radius, desc.minor_radius
     _require_resolved(small, desc.h, "torus tube")
     ntheta = _angular_count(2.0 * math.pi * (big + small), desc.h)
@@ -331,10 +319,10 @@ def _mesh_torus(desc: FamilyDescriptor) -> EmbeddedMesh:
     points = np.array([point(t, p) for t in th for p in ph])
     ring_ids = np.arange(len(points)).reshape(ntheta, nphi)
     ring_ids = np.vstack([ring_ids, ring_ids[:1]])  # wrap in the major direction
-    return _bounded_mesh(points, _band_cells(ring_ids), {"family": "torus-surface"})
+    return _Geometry(points, _band_cells(ring_ids))
 
 
-def _mesh_revolution_closure(desc: FamilyDescriptor) -> EmbeddedMesh:
+def _mesh_revolution_closure(desc: FamilyDescriptor) -> _Geometry:
     """Annulus at x3 = -1, half-torus collar, and a disk cap at x3 = +1.
 
     The parts share their seam circles (radius delta at x3 = -1, +1) by exact
@@ -346,7 +334,7 @@ def _mesh_revolution_closure(desc: FamilyDescriptor) -> EmbeddedMesh:
     eps, delta, h = desc.eps, desc.delta, desc.h
     _require_resolved(eps, h, "inner circle")
 
-    ann_pts, ann_tris, _, seam_bottom = _structured_annulus(eps, delta, h, desc.h_boundary)
+    ann_pts, ann_tris, seam_bottom = _structured_annulus(eps, delta, h, desc.h_boundary)
     ntheta = len(seam_bottom)
     vertices = [np.column_stack([ann_pts, -np.ones(len(ann_pts))])]
     offset = len(ann_pts)
@@ -376,18 +364,11 @@ def _mesh_revolution_closure(desc: FamilyDescriptor) -> EmbeddedMesh:
 
     points = np.vstack(vertices)
     cells = np.vstack([ann_tris, _band_cells(ring_ids), local_to_global[disk_tris]])
-    meta = {
-        "family": "revolution-closure",
-        "n": 2,
-        "seam_rings": [
-            sorted(int(v) for v in seam_bottom),
-            sorted(int(v) for v in seam_top),
-        ],
-    }
-    return _bounded_mesh(points, cells, meta)
+    seams = [sorted(int(v) for v in seam) for seam in (seam_bottom, seam_top)]
+    return _Geometry(points, cells, extra={"seam_rings": seams})
 
 
-def _mesh_product_annulus_circle(desc: FamilyDescriptor) -> EmbeddedMesh:
+def _mesh_product_annulus_circle(desc: FamilyDescriptor) -> _Geometry:
     """A(eps, delta) x S^1_R as tetrahedra in R^4 (n = 2 cross-section).
 
     Prisms (triangle x circle segment) split into three tetrahedra by the
@@ -396,7 +377,7 @@ def _mesh_product_annulus_circle(desc: FamilyDescriptor) -> EmbeddedMesh:
     """
     eps, delta, big_r = desc.eps, desc.delta, desc.circle_radius
     _require_resolved(eps, desc.h, "inner sphere")
-    ann_pts, ann_tris, _, _ = _structured_annulus(eps, delta, desc.h, desc.h_boundary)
+    ann_pts, ann_tris, _ = _structured_annulus(eps, delta, desc.h, desc.h_boundary)
     ns = _angular_count(2.0 * math.pi * big_r, desc.h)
     thetas = 2.0 * math.pi * np.arange(ns) / ns
     na = len(ann_pts)
@@ -413,10 +394,7 @@ def _mesh_product_annulus_circle(desc: FamilyDescriptor) -> EmbeddedMesh:
     tets = np.stack([prisms[..., w : w + 4] for w in range(3)], axis=2).reshape(-1, 4)
 
     planar_r = np.linalg.norm(points[:, :2], axis=1)
-    return _bounded_mesh(
-        points, tets, {"family": "product-annulus-circle", "n": 2},
-        _nearer_inner(planar_r, eps, delta),
-    )
+    return _Geometry(points, tets, _nearer_inner(planar_r, eps, delta))
 
 
 @dataclass(frozen=True)
@@ -424,7 +402,7 @@ class _Family:
     sizes: tuple  # the descriptor sizes the family needs besides h
     ns: Optional[tuple]  # the values of n it is meshed for; None: n is unused
     dim: Callable[[int], int]  # intrinsic dimension of the mesh, given n
-    generate: Callable[[FamilyDescriptor], EmbeddedMesh]
+    generate: Callable[[FamilyDescriptor], _Geometry]
     volumes: Callable[[FamilyDescriptor], tuple]  # exact (|M|, |Steklov part of the boundary|)
     # analytic injectivity radius of the boundary, for the families that have it in closed form
     injectivity: Optional[Callable[[FamilyDescriptor], float]] = None
@@ -488,7 +466,7 @@ def generate_mesh(desc: FamilyDescriptor) -> EmbeddedMesh:
         predicted = math.inf
     check("the predicted vertex count", predicted, high=SIZE_BUDGET)
     try:
-        return family.generate(desc)
+        geometry = family.generate(desc)
     except QhullError as exc:
         # a failed allocation reads "insufficient memory", or "did not free" when
         # it struck while Qhull set up and the clean-up that reports it failed too
@@ -496,6 +474,13 @@ def generate_mesh(desc: FamilyDescriptor) -> EmbeddedMesh:
         if any(sign in str(exc) for sign in ("insufficient memory", "did not free")):
             raise MemoryError(first) from exc
         raise NumericalError(first) from exc
+    faces = boundary_facets(geometry.cells)
+    steklov = np.ones(len(faces), bool) if geometry.steklov is None else geometry.steklov(faces)
+    tags = np.where(steklov, STEKLOV, NEUMANN).astype(object)
+    # int: a descriptor accepts n = 2.0 as well as 2
+    metadata = {"family": desc.kind, **({} if family.ns is None else {"n": int(desc.n)}),
+                **(geometry.extra or {})}
+    return EmbeddedMesh(geometry.points, geometry.cells, faces, tags, metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NonTransverseSample, PreconditionError, UsageError, check
+from .errors import SIZE_BUDGET, NonTransverseSample, PreconditionError, UsageError, check
 from .euclidean import unit_sphere_area
 from .mesh import EmbeddedMesh, read_only
 
@@ -207,7 +207,7 @@ def estimate_index(
     the witness plane before returning.  A PL mesh can exceed its smooth
     surface's index: the h=0.22 torus reaches 6 at seed 15.
     """
-    check("samples", samples, 1, integer=True)
+    check("samples", samples, 1, SIZE_BUDGET, integer=True)
     check("seed", seed, 0, integer=True)
     rng = np.random.default_rng(seed)
     lo, hi = mesh.bounding_box()
@@ -323,7 +323,7 @@ def concentration_audit(
     Returns the worst ratio against the cap, which must stay near or below 1
     whenever index_bound really bounds the intersection index.
     """
-    check("trials", trials, 1, integer=True)
+    check("trials", trials, 1, SIZE_BUDGET, integer=True)
     check("index_bound", index_bound, 1, integer=True)
     check("seed", seed, 0, integer=True)
     rng = np.random.default_rng(seed)

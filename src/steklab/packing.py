@@ -437,10 +437,11 @@ def certify_sigma_k(
     # the greedy chain needs neighbours within r
     spacing = measure.spacing
     if r < spacing:
+        empirical = config.c_cover is None and config.use_empirical
         raise ResolutionError(
             f"packing radius r = {r:.3e} is below the boundary mesh spacing "
-            f"{spacing:.3e}; refine the mesh (h_boundary <= {r:.1e}) or use the "
-            f"empirical covering constant"
+            f"{spacing:.3e}; refine the mesh (h_boundary <= {r:.1e})"
+            + ("" if empirical else " or use the empirical covering constant")
         )
 
     packing = build_packing(measure, r, 2 * k + 2, c_cover)

@@ -113,6 +113,13 @@ COMMANDS.update({
     "spectrum:disk-dense": "spectrum --mesh <dir>/ball2.json --kmax 15 --traces <dir>/t4.csv",
     "spectrum:annulus-sn-dense": "spectrum --mesh <dir>/annulus2.json --kind steklov-neumann "
                                  "--kmax 60 --traces <dir>/t5.csv",
+    # boundary-graded meshes and the certificates on them
+    "mesh:annulus2g": "mesh --family annulus --n 2 --eps 1 --delta 2 --h 0.15 "
+                      "--h-boundary 0.003125 --mesh-out <dir>/annulus2g.json",
+    "mesh:cylinderg": "mesh --family cylinder --radius 1 --L 1 --h 0.15 --h-boundary 0.00625 "
+                      "--mesh-out <dir>/cylinderg.json",
+    "certify:annulus-sn": "certify --mesh <dir>/annulus2g.json --k 3 --i-sigma 2 --seed 7",
+    "certify:cylinder": "certify --mesh <dir>/cylinderg.json --k 2 --i-sigma 2",
 })
 
 
@@ -124,7 +131,7 @@ def _hash(data) -> str:
 
 def run_command(text: str, directory: Path) -> dict:
     """Run one command in-process; its exit code and the digests of its parts."""
-    from steklab.cli import main  # not at the top: main() sets STEKLAB_THREADS first
+    from steklab.cli import main  # not at the top: main() pins the BLAS threads first
 
     argv = text.replace("<dir>", str(directory)).split()
     outputs = {option: argv[i + 1] for i, option in enumerate(argv) if option in OUTPUT_OPTIONS}
@@ -188,7 +195,9 @@ def main(argv=None) -> int:
         lines = compare(a, b)
         print("\n".join(lines) if lines else f"all {len(a)} digests are identical")
         return 1 if lines else 0
-    os.environ.setdefault("STEKLAB_THREADS", "1")  # before steklab sets up its pools
+    # one BLAS and OpenMP thread, set before numpy starts its pools
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     with tempfile.TemporaryDirectory() as directory:
         results = run_commands(directory)
     Path(args.out).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")

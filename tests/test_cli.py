@@ -214,6 +214,21 @@ def test_certify_literal_constants_resolution_failure(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "below the boundary mesh spacing" in err
+    assert "or use the empirical covering constant" in err
+    assert err.count("\n") == 1
+
+
+def test_certify_empirical_resolution_failure_gives_no_empirical_hint(tmp_path, capsys):
+    mesh_path = tmp_path / "annulus.json"
+    assert run(["mesh", "--family", "annulus", "--n", "2", "--eps", "1", "--delta", "2",
+                "--h", "0.3", "--h-boundary", "0.0125",
+                "--mesh-out", str(mesh_path), "--out", str(tmp_path / "m.json")]) == 0
+    code = run(["certify", "--mesh", str(mesh_path), "--k", "1", "--i-sigma", "2",
+                "--seed", "7"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "below the boundary mesh spacing" in err
+    assert "empirical" not in err
     assert err.count("\n") == 1
 
 
@@ -681,7 +696,7 @@ def test_overflowing_mesh_measures_exit_4(tmp_path, capfd, disk_document, comman
     assert not out.exists()
 
 
-# each asks for more than SIZE_BUDGET vertices, values, grid nodes or modes
+# each asks for more than SIZE_BUDGET vertices, values, grid nodes, modes or samples
 @pytest.mark.parametrize(
     "argv",
     [
@@ -702,11 +717,16 @@ def test_overflowing_mesh_measures_exit_4(tmp_path, capfd, disk_document, comman
         ["experiment", "obstruction", "--k-max", str(10**400)],
         # each k passes on its own; their sphere spectra together do not
         ["experiment", "obstruction", "--k-max", str(10**6)],
+        ["index", "--samples", str(10**8)],  # on the small disk below
     ],
 )
-def test_over_budget_size_exits_2_before_allocating(tmp_path, capsys, argv):
+def test_over_budget_size_exits_2_before_allocating(tmp_path, capsys, disk_document, argv):
     if argv[0] == "mesh":
         argv = argv + ["--mesh-out", str(tmp_path / "mesh.json")]
+    elif argv[0] == "index":
+        mesh_path = tmp_path / "disk.json"
+        mesh_path.write_text(json.dumps(disk_document))
+        argv = argv + ["--mesh", str(mesh_path)]
     out = tmp_path / "report.json"
     tracemalloc.start()
     try:
@@ -715,7 +735,7 @@ def test_over_budget_size_exits_2_before_allocating(tmp_path, capsys, argv):
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert err.startswith("usage error:")
+    assert err.startswith("usage error:") and err.count("\n") == 1
     assert peak < 16 * 2**20
     assert not out.exists() and not (tmp_path / "mesh.json").exists()
 
@@ -723,7 +743,7 @@ def test_over_budget_size_exits_2_before_allocating(tmp_path, capsys, argv):
 # one or two numeric options of a command take an extreme value, the rest a
 # valid one.  The extremes are invalid, or valid but cheap to run (a huge
 # count or degree exceeds SIZE_BUDGET); run lengths (--samples) only take
-# invalid ones.
+# invalid ones, 10^8 among them since it exceeds SIZE_BUDGET too.
 _REAL_EXTREMES = ["1e308", "5e-324", "1e-200", str(10**400), "nan", "inf", "-inf", "0", "-1"]
 _INT_EXTREMES = [str(2**53), str(2**53 + 1), str(10**400), "0", "-1", "nan"]
 
@@ -760,7 +780,7 @@ _COMMANDS = [
                                "--R": _real(0.3, 0.5), "--h": _real(0.3, 0.5)}),
     ("spectrum", {"--kmax": _int(1, 6), "--tol": _real(1e-10, 1e-4)}),
     ("index", {"--samples": (st.integers(1, 50).map(str),
-                             st.sampled_from(["0", "-1", str(2**53 + 1)])),
+                             st.sampled_from(["0", "-1", str(2**53 + 1), str(10**8)])),
                "--seed": _int(0, 100),
                "--degrees": _listed(_int(1, 4))}),
     ("certify", {"--k": _int(1, 3), "--i-sigma": _int(1, 4),
@@ -998,7 +1018,8 @@ sys.exit(main(sys.argv[2:]))
 
 
 def _capped_process(headroom_mib, argv):
-    env = {**_child_env(), "STEKLAB_THREADS": "1"}
+    env = {**_child_env(), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
     return subprocess.run([sys.executable, "-c", _CAPPED_MAIN, str(headroom_mib), *argv],
                           capture_output=True, text=True, env=env, timeout=120)
 

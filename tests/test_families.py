@@ -72,6 +72,60 @@ def test_annulus_areas_and_tags():
         assert tag == ("steklov" if radius < 1.5 else "neumann")
 
 
+def _radius(x):
+    return np.linalg.norm(x, axis=-1)
+
+
+def _planar_radius(x):
+    return np.linalg.norm(x[..., :2], axis=-1)
+
+
+# every family at every n it is meshed for: its metadata keys beyond "family",
+# and the radius function and inner radius that pick its Steklov faces (None:
+# every boundary face is Steklov)
+_FAMILY_CASES = [
+    pytest.param(FamilyDescriptor("ball-flat", h=0.3, n=2, delta=1.0), ["n"], None, id="disk"),
+    pytest.param(FamilyDescriptor("ball-flat", h=0.3, n=2.0, delta=1.0), ["n"], None,
+                 id="disk-float-n"),
+    pytest.param(FamilyDescriptor("ball-flat", h=0.5, n=3, delta=1.0), ["n"], None, id="ball"),
+    pytest.param(FamilyDescriptor("annulus-flat", h=0.2, n=2, eps=1.0, delta=2.0), ["n"],
+                 (_radius, 1.0), id="annulus-n2"),
+    pytest.param(FamilyDescriptor("annulus-flat", h=0.2, n=2, eps=1.0, delta=2.0, h_boundary=0.05),
+                 ["n"], (_radius, 1.0), id="annulus-n2-graded"),
+    pytest.param(FamilyDescriptor("annulus-flat", h=0.6, n=3, eps=1.0, delta=2.0), ["n"],
+                 (_radius, 1.0), id="annulus-n3"),
+    pytest.param(FamilyDescriptor("cylinder-surface", h=0.2, radius=1.0, length=1.0), [], None,
+                 id="cylinder"),
+    pytest.param(FamilyDescriptor("sphere-boundary", h=0.2, n=2, eps=1.0), ["n"], None,
+                 id="circle"),
+    pytest.param(FamilyDescriptor("sphere-boundary", h=0.4, n=3, eps=1.0), ["n"], None,
+                 id="sphere"),
+    pytest.param(FamilyDescriptor("torus-surface", h=0.4, major_radius=2.0, minor_radius=1.0),
+                 [], None, id="torus"),
+    pytest.param(FamilyDescriptor("revolution-closure", h=0.3, n=2, eps=0.5, delta=2.0),
+                 ["n", "seam_rings"], None, id="revolution-closure"),
+    pytest.param(FamilyDescriptor("product-annulus-circle", h=0.4, n=2, eps=0.5, delta=2.0,
+                                  circle_radius=0.3), ["n"], (_planar_radius, 0.5), id="product"),
+]
+
+
+@pytest.mark.parametrize("desc, keys, inner", _FAMILY_CASES)
+def test_generated_metadata_and_steklov_faces(desc, keys, inner):
+    mesh = generate_mesh(desc)
+    assert list(mesh.metadata) == ["family", *keys]
+    assert mesh.metadata["family"] == desc.kind
+    if "n" in keys:
+        assert mesh.metadata["n"] == desc.n and type(mesh.metadata["n"]) is int
+    steklov = np.asarray(mesh.face_tags) == "steklov"
+    if inner is None:
+        assert steklov.all()
+        return
+    radius, eps = inner
+    on_inner = np.all(np.abs(radius(mesh.vertices[mesh.boundary_faces]) - eps) < 1e-9, axis=1)
+    assert on_inner.any() and not on_inner.all()
+    assert np.array_equal(steklov, on_inner)
+
+
 def test_revolution_closure_single_boundary_circle(revolution_mesh):
     assert revolution_mesh.boundary_components() == 1
     bverts = revolution_mesh.boundary_vertices()

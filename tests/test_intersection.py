@@ -163,6 +163,13 @@ def test_estimate_requires_samples(circle_mesh):
         estimate_index(circle_mesh, samples=0)
 
 
+def test_run_lengths_obey_the_size_budget(circle_mesh):
+    with pytest.raises(UsageError, match="samples must be"):
+        estimate_index(circle_mesh, samples=10**8)
+    with pytest.raises(UsageError, match="trials must be"):
+        concentration_audit(circle_mesh, index_bound=2, trials=10**8)
+
+
 def test_degree_bound_violation_detected(circle_mesh):
     with pytest.raises(PreconditionError, match="degree bound"):
         estimate_index(circle_mesh, samples=300, seed=0, degree_bound=1)
