@@ -394,7 +394,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, ArithmeticError) as exc:  # or an overflow no check anticipated
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        reason = exc if isinstance(exc, NumericalError) else "a value overflows double precision"
+        print(f"numerical failure: {reason}", file=sys.stderr)
         return 3
     except MemoryError:  # a request within SIZE_BUDGET can still exceed the machine
         print("numerical failure: out of memory", file=sys.stderr)

@@ -172,11 +172,6 @@ def _random_planes(rng: np.random.Generator, codim: int, lo, hi, count: int) -> 
     return [AffinePlane(q_one.T, q_one.T @ anchor) for q_one, anchor in zip(q, anchors)]
 
 
-def _random_plane(rng: np.random.Generator, codim: int, lo, hi) -> AffinePlane:
-    """Rotation-invariant plane through a point of the inflated bounding box."""
-    return _random_planes(rng, codim, lo, hi, 1)[0]
-
-
 def _perturbed_plane(
     rng: np.random.Generator, plane: AffinePlane, foot: np.ndarray, step: float, span: float
 ) -> AffinePlane:

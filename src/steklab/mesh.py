@@ -216,12 +216,8 @@ class EmbeddedMesh:
         pts = self.vertices[self.cells]
         return np.linalg.norm(pts[:, i, :] - pts[:, j, :], axis=2).T.ravel()
 
-    def vertex_adjacency(self):
-        """Sparse symmetric vertex adjacency built from cell edges."""
-        return _edge_graph(self.cells, self.n_vertices)
-
     def is_connected(self) -> bool:
-        ncomp, _ = connected_components(self.vertex_adjacency(), directed=False)
+        ncomp, _ = connected_components(_edge_graph(self.cells, self.n_vertices), directed=False)
         return ncomp == 1
 
     def boundary_components(self) -> int:

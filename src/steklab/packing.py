@@ -6,8 +6,9 @@ from |Sigma|, the boundary intersection index and the covering constant,
 build 2k+2 well-separated positive-measure atom sets, turn each into the
 test function g(x) = max(0, 1 - d(x, A)/r), and certify sigma_k by the
 largest Rayleigh quotient among the k+1 functions with the smallest support
-volume.  Every claimed conclusion (measure floor, 3r separation, support
-disjointness, variational validity) is checked directly on the output.
+volume.  Every claimed conclusion (measure floor, 3r separation, variational
+validity) is checked directly on the output; support disjointness follows from
+the checked separation: a point within r of two sets puts them 2r or less apart.
 
 With the literal ambient covering constant 32^m the radius is far below any
 practical mesh resolution; the empirical mode replaces it by a covering
@@ -401,14 +402,6 @@ class PackingCertificate:
         }
 
 
-def _distance_to_set(tree: cKDTree, set_positions: np.ndarray, r: float) -> np.ndarray:
-    """Distance from each tree point to the set, inf beyond r (where g is 0)."""
-    out = np.full(tree.n, np.inf)
-    for _, _, near, dist in _neighbours(tree, set_positions, r):
-        np.minimum.at(out, near, dist)
-    return out
-
-
 def certify_sigma_k(
     mesh: EmbeddedMesh,
     k: int,
@@ -446,25 +439,23 @@ def certify_sigma_k(
 
     packing = build_packing(measure, r, 2 * k + 2, c_cover)
 
-    vecs, quotients, owners = [], [], np.full(mesh.n_vertices, -1, dtype=np.int64)
-    stiffness, mass = operators or assemble_operators(mesh)
+    # one sweep of all sets' atoms; a vertex within r of a set is > r from the others
+    labels = np.concatenate([np.full(len(s), i) for i, s in enumerate(packing.sets)])
+    dist, owners = np.full(mesh.n_vertices, np.inf), np.full(mesh.n_vertices, -1)
     tree = mesh.cached("vertex_tree", lambda m: cKDTree(m.vertices))
-    for i, members in enumerate(packing.sets):
-        dist = _distance_to_set(tree, measure.positions[members], r)
-        g = np.maximum(0.0, 1.0 - dist / r)
-        support = np.nonzero(g > 0.0)[0]
-        clash = owners[support]
-        if np.any(clash >= 0):
-            raise ResolutionError(
-                "test function supports overlap; the mesh is too coarse for r"
-            )
-        owners[support] = i
-        try:
-            quotients.append(rayleigh_from_operators(stiffness, mass, g))
-        except UsageError:  # g is built here: no boundary energy is an internal fault
-            raise SteklabError("internal error: test function has no boundary energy") from None
-        vecs.append(g)
-    quotients = np.array(quotients)
+    atoms = measure.positions[np.concatenate(packing.sets)]
+    for start, rows, near, d in _neighbours(tree, atoms, r):
+        np.minimum.at(dist, near, d)
+        owners[near] = labels[start + rows]
+    g = np.maximum(0.0, 1.0 - dist / r)
+    owners[g == 0.0] = -1
+    vecs = [np.where(owners == i, g, 0.0) for i in range(len(packing.sets))]
+
+    stiffness, mass = operators or assemble_operators(mesh)
+    try:
+        quotients = np.array([rayleigh_from_operators(stiffness, mass, v) for v in vecs])
+    except UsageError:  # g is built here: no boundary energy is an internal fault
+        raise SteklabError("internal error: test function has no boundary energy") from None
 
     cell_owner = owners[mesh.cells]
     cell_max = cell_owner.max(axis=1)
@@ -487,9 +478,8 @@ def certify_sigma_k(
         fem_sigma_k = float(fem.eigenvalues[k])
     valid = fem_sigma_k <= certified * (1.0 + 1e-9) + 1e-8
 
-    # supports are disjoint and no cell bridges two, so one pass over the sum
-    # gives every cell its own function's gradient
-    grads = cell_gradient_norms(mesh, np.sum([vecs[i] for i in selected], axis=0))
+    # no cell bridges two supports, so one pass gives every cell its own g_i's gradient
+    grads = cell_gradient_norms(mesh, np.where(np.isin(owners, selected), g, 0.0))
     slack = float(grads.max()) * r
 
     return PackingCertificate(

@@ -120,6 +120,9 @@ COMMANDS.update({
                       "--mesh-out <dir>/cylinderg.json",
     "certify:annulus-sn": "certify --mesh <dir>/annulus2g.json --k 3 --i-sigma 2 --seed 7",
     "certify:cylinder": "certify --mesh <dir>/cylinderg.json --k 2 --i-sigma 2",
+    "certify:disk-k3": "certify --mesh <dir>/ball2g.json --k 3 --i-sigma 2 --seed 7",
+    "certify:annulus-sn-k1": "certify --mesh <dir>/annulus2g.json --k 1 --i-sigma 2",
+    "certify:cylinder-k1": "certify --mesh <dir>/cylinderg.json --k 1 --i-sigma 2 --seed 7",
 })
 
 

@@ -521,6 +521,25 @@ def test_bounds_beyond_double_precision_exit_3(tmp_path, capsys, args):
     assert not out.exists()
 
 
+# each overflows a float ** or math call that no parameter check anticipates
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "annulus-sn", "--n", "2", "--eps", "1e-300", "--delta", "1e300",
+         "--mode", "5"],
+        ["oracle", "blowup-constant", "--n", "2000"],
+        ["experiment", "blowup", "--eps", "1e-300"],
+    ],
+)
+def test_unanticipated_overflow_names_itself(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    code, err = run_clean(argv, capsys, out)
+    assert code == 3
+    assert err == "numerical failure: a value overflows double precision\n"
+    assert "(34," not in err
+    assert not out.exists()
+
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"non-finite number {constant} in a report")

@@ -14,7 +14,6 @@ from steklab.intersection import (
     BARYCENTRIC_TOL,
     CONDITION_MAX,
     AffinePlane,
-    _random_plane,
     _random_planes,
     concentration_audit,
     count_planes,
@@ -386,7 +385,7 @@ def test_slot_screen_matches_strided_reference(mesh_name, request):
     mesh = request.getfixturevalue(mesh_name)
     rng = np.random.default_rng(2024)
     lo, hi = mesh.bounding_box()
-    planes = [_random_plane(rng, mesh.intrinsic_dim, lo, hi) for _ in range(500)]
+    planes = [_random_planes(rng, mesh.intrinsic_dim, lo, hi, 1)[0] for _ in range(500)]
     if mesh.ambient_dim == 2:
         planes += [horizontal_line(0.0), horizontal_line(0.137), horizontal_line(5.0)]
     outcomes = [_outcome(plane_mesh_intersections, p, mesh) for p in planes]
@@ -560,7 +559,7 @@ def test_block_count_matches_strided_reference(size, circle_mesh):
     if size is None:  # the block estimate_index draws on this mesh
         size = intersection._SCREEN_BUDGET // (2 * len(mesh.cells))
     lo, hi = circle_mesh.bounding_box()
-    pool = [_random_plane(rng, 1, lo, hi) for _ in range(max(size, 7))]
+    pool = [_random_planes(rng, 1, lo, hi, 1)[0] for _ in range(max(size, 7))]
     odd = [horizontal_line(5.0), horizontal_line(0.0), sliver_line]
     expected = {id(p): _outcome(_strided_count, p, mesh) for p in pool + odd}
     assert [expected[id(p)] for p in odd] == [
@@ -589,7 +588,7 @@ def test_block_count_matches_strided_reference(size, circle_mesh):
 def test_block_draws_match_single_draws(ambient, codim, count):
     lo, hi = -np.arange(1.0, ambient + 1.0), np.arange(2.0, ambient + 2.0)
     single, stacked = np.random.default_rng(5), np.random.default_rng(5)
-    one_by_one = [_random_plane(single, codim, lo, hi) for _ in range(count)]
+    one_by_one = [_random_planes(single, codim, lo, hi, 1)[0] for _ in range(count)]
     block = _random_planes(stacked, codim, lo, hi, count)
     assert single.bit_generator.state == stacked.bit_generator.state
     for a, b in zip(one_by_one, block, strict=True):

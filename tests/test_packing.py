@@ -451,20 +451,37 @@ def test_certificate_payload_matches_direct_kernels(certified_disk, monkeypatch)
     mesh, cert = certified_disk
     mesh = fresh_copy(mesh)  # the measure of the fixture's mesh holds its covering count
     monkeypatch.setattr(packing, "empirical_covering_constant", reference_covering_constant)
-    monkeypatch.setattr(
-        packing, "_distance_to_set", lambda tree, pos, r: reference_distance_to_set(mesh.vertices, pos)
-    )
     direct = certify_sigma_k(
         mesh, 1, ConstantsConfig(use_empirical=True), i_sigma=2, fem_sigma_k=cert.sigma_k_fem
     )
     assert direct.to_payload() == cert.to_payload()
-    for got, want in zip(cert.test_vectors, direct.test_vectors):
-        assert np.array_equal(got, want)
+    # every set's g = max(0, 1 - d(x, A)/r), with d measured against every atom
+    r = direct.r
+    tests = [
+        np.maximum(0.0, 1.0 - reference_distance_to_set(mesh.vertices, mesh.vertices[ids]) / r)
+        for ids in direct.atom_sets
+    ]
+    supports = [g > 0.0 for g in tests]
+    assert not np.any(np.sum(supports, axis=0) > 1)  # pairwise disjoint
+    stiffness, mass = assemble_operators(mesh)
+    quotients = [spectral.rayleigh_from_operators(stiffness, mass, g) for g in tests]
+    cvols = mesh.cell_volumes()
+    volumes = [float(cvols[support[mesh.cells].any(axis=1)].sum()) for support in supports]
+    selected = np.argsort(volumes, kind="stable")[: direct.k + 1]
     # the slack taken one selected function at a time
-    slack = 0.0
-    for v in direct.test_vectors:
-        slack = max(slack, float(cell_gradient_norms(mesh, v).max()) * direct.r)
-    assert cert.lipschitz_slack == slack
+    slack = max(float(cell_gradient_norms(mesh, tests[i]).max()) * r for i in selected)
+    assert direct.to_payload() == {
+        **direct.to_payload(),
+        "rayleigh_quotients": quotients,
+        "support_volumes": volumes,
+        "selected": selected.tolist(),
+        "certified_bound": max(quotients[i] for i in selected),
+        "lipschitz_slack": slack,
+    }
+    for got, want in zip(direct.test_vectors, [tests[i] for i in selected], strict=True):
+        assert np.array_equal(got, want)
+    for got, want in zip(cert.test_vectors, direct.test_vectors, strict=True):
+        assert np.array_equal(got, want)
 
 
 def _probe_radii(measure, k, i_sigma, c_last):
