@@ -10,10 +10,12 @@ balls stays below the bound (i/2) |S^q| r^q implied by a finite index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import SIZE_BUDGET, NonTransverseSample, PreconditionError, UsageError, check
 from .euclidean import unit_sphere_area
@@ -26,7 +28,8 @@ AUDIT_POINTS_PER_CELL = 1000  # barycentric quadrature points per straddling cel
 _HILL_CLIMB_ROUNDS = 200
 _HILL_CLIMB_ANNEAL_EVERY = 50
 _AUDIT_CHUNK = 256  # straddling cells per quadrature GEMM: bounds its (cells, P) block
-_SCREEN_BUDGET = 2**17  # gathered distances per block of sampled planes: 1 MiB
+_SCREEN_BUDGET = 2**17  # signed distances per block of planes: 1 MiB
+_CULL_ROUNDING = 1e-12  # relative rounding allowance of the patch cull
 
 
 @dataclass
@@ -47,9 +50,7 @@ class AffinePlane:
             raise UsageError("codimension must satisfy 1 <= c <= m")
         if self.offset.shape != (c,):
             raise UsageError("offset length must equal the codimension")
-        eye = np.eye(c)  # np.allclose(gram, eye, atol=1e-12) in plain ufuncs; NaN and inf fail
-        if not (np.abs(self.normal_rows @ self.normal_rows.T - eye) <= 1e-12 + 1e-5 * eye).all():
-            raise UsageError("normal rows must be orthonormal")
+        _check_orthonormal(self.normal_rows)
 
     @property
     def codim(self) -> int:
@@ -96,91 +97,202 @@ def plane_mesh_intersections(plane: AffinePlane, mesh: EmbeddedMesh) -> int:
     The one-plane case of count_planes; raises its NonTransverseSample, and
     the caller must resample.
     """
-    (outcome,) = count_planes([plane], mesh)
+    (outcome,) = count_planes(plane.normal_rows[None], plane.offset[None], mesh)
     if isinstance(outcome, NonTransverseSample):
         raise outcome
     return outcome
 
 
-def count_planes(planes: Sequence[AffinePlane], mesh: EmbeddedMesh) -> list:
-    """Per plane, its transverse intersection count or a NonTransverseSample.
+class _Patches(NamedTuple):
+    slots: np.ndarray  # (n+1, C) the cells' vertices, slot-major, patch after patch
+    bounds: np.ndarray  # (patches + 1,) patch p holds columns bounds[p]:bounds[p + 1]
+    centers: np.ndarray  # (patches, m)
+    radii: np.ndarray  # (patches,) every vertex of a patch's cells lies in its ball
+    extent: np.ndarray  # (patches,) |center| + radius, the scale of its rounding
 
-    Per cell, solves the affine system {normal_rows (V lam) = offset,
-    sum(lam) = 1} and counts a hit when all barycentric coordinates exceed
-    BARYCENTRIC_TOL.  A NonTransverseSample names the first fault in this
-    order among the plane's systems: a condition number above CONDITION_MAX,
-    a singular system, a grazing solution (minimum coordinate within
-    BARYCENTRIC_TOL of zero).  Cells are
-    screened first by reducing a slot-major (planes, n+1, C, c) gather of the
-    signed distances over its short vertex-slot axis.  Stacked LAPACK calls
-    run per matrix, so no outcome depends on the block it is counted in.
+
+def _patch_table(mesh: EmbeddedMesh) -> _Patches:
+    """Cells in the leaf order of a KD-tree on their centroids, built by
+    median splits along the widest axis into leaves (patches) of at most
+    ceil(sqrt(C)) cells."""
+    leaf = math.isqrt(len(mesh.cells) - 1) + 1
+    coords = np.ascontiguousarray(mesh.vertices.T)  # (m, N): long inner loops below
+    tree = cKDTree(np.take(coords, mesh.cells.T, axis=1).mean(axis=1).T, leafsize=leaf,
+                   balanced_tree=True)
+    starts, pending = [], [tree.tree]
+    while pending:  # depth first, lesser half first: the leaves in index order
+        node = pending.pop()
+        if node.split_dim < 0:
+            starts.append(node.start_idx)
+        else:
+            pending += [node.greater, node.lesser]
+    bounds = np.array(starts + [len(mesh.cells)])
+    slots = np.ascontiguousarray(mesh.cells[tree.indices].T)
+    corners = np.take(coords, slots, axis=1)  # (m, n+1, C)
+    lo = np.array([np.minimum.reduceat(x, bounds[:-1]) for x in corners.min(axis=1)])
+    hi = np.array([np.maximum.reduceat(x, bounds[:-1]) for x in corners.max(axis=1)])
+    centers = 0.5 * (lo + hi)  # (m, patches)
+    offsets = corners - centers[:, None, np.repeat(np.arange(len(starts)), np.diff(bounds))]
+    radii = np.maximum.reduceat(np.sqrt((offsets * offsets).sum(axis=0)).max(axis=0), bounds[:-1])
+    centers = np.ascontiguousarray(centers.T)
+    extent = np.linalg.norm(centers, axis=1) + radii
+    return _Patches(*(read_only(a) for a in (slots, bounds, centers, radii, extent)))
+
+
+def count_planes(rows: np.ndarray, offsets: np.ndarray, mesh: EmbeddedMesh) -> list:
+    """Per plane {x : rows[i] @ x = offsets[i]}, its transverse intersection
+    count or a NonTransverseSample; rows is (P, c, m), offsets (P, c).
+
+    Per cell, solves the affine system {rows (V lam) = offset, sum(lam) = 1}
+    and counts a hit when all barycentric coordinates exceed BARYCENTRIC_TOL.
+    A NonTransverseSample names the first fault in this order among the
+    plane's systems: a condition number above CONDITION_MAX, a singular
+    system, a grazing solution (minimum coordinate within BARYCENTRIC_TOL of
+    zero).  The signed distances of all vertices to every plane come from one
+    stacked matmul; a plane's slack is BARYCENTRIC_TOL (max |signed| + 1).
+    A patch of cells (_patch_table) is dropped when its ball center lies
+    farther than radius + 2 slack from a normal hyperplane, the radius scaled
+    by the largest row norm and the reach widened by a rounding allowance
+    relative to |offset| + |center| + radius: every vertex of the patch is
+    then beyond the slack on one side, so none of its cells passes the
+    screen.  On the cells of the surviving patches, a cell is screened in
+    when, for every row, its vertices' signed distances reach within the
+    slack of zero from both sides; its system is then checked and solved, in
+    runs of whole planes that gather at most a quarter of _SCREEN_BUDGET
+    unless one plane alone needs more.  The
+    matmul and the stacked LAPACK calls work per plane and per matrix, so no
+    outcome depends on the block a plane is counted in.
     """
-    for plane in planes:
-        if plane.ambient_dim != mesh.ambient_dim:
-            raise UsageError("plane and mesh ambient dimensions differ")
-        if plane.codim != mesh.intrinsic_dim:
-            raise UsageError(
-                f"plane codimension {plane.codim} must equal mesh dimension "
-                f"{mesh.intrinsic_dim} for point intersections"
-            )
-    signed = np.empty((len(planes), mesh.n_vertices, mesh.intrinsic_dim))  # (P, N, c)
-    for plane, out in zip(planes, signed):
-        np.subtract(mesh.vertices @ plane.normal_rows.T, plane.offset, out=out)
-    slack = BARYCENTRIC_TOL * (np.abs(signed).max(axis=(1, 2)) + 1.0)[:, None, None]
-    slots = mesh.cached("slot_cells", lambda m: read_only(np.ascontiguousarray(m.cells.T)))
-    per_slot = np.take(signed, slots, axis=1)  # (P, n+1, C, c)
-    screen = (per_slot.min(axis=1) <= slack) & (per_slot.max(axis=1) >= -slack)
-    near = screen[..., 0]
-    for row in range(1, mesh.intrinsic_dim):  # NumPy reduces a short last axis slowly
-        near = near & screen[..., row]
-    owner, cell = np.divmod(np.flatnonzero(near), len(mesh.cells))
-    if cell.size == 0:
-        return [0] * len(planes)
+    count, c, m = rows.shape
+    if m != mesh.ambient_dim:
+        raise UsageError("plane and mesh ambient dimensions differ")
+    if c != mesh.intrinsic_dim:
+        raise UsageError(
+            f"plane codimension {c} must equal mesh dimension "
+            f"{mesh.intrinsic_dim} for point intersections"
+        )
+    patches = mesh.cached("plane_patches", _patch_table)
+    # one stacked matmul: per plane the GEMM (or, for c = 1, gemv) it has alone
+    signed = np.empty((count, mesh.n_vertices, c))
+    np.matmul(mesh.vertices, rows.transpose(0, 2, 1), out=signed)
+    for row in range(c):  # a long inner loop: each row's offset broadcast along the vertices
+        signed[:, :, row] -= offsets[:, row, None]
+    flat = signed.reshape(count, -1)
+    slack = BARYCENTRIC_TOL * (np.maximum(flat.max(axis=1), -flat.min(axis=1)) + 1.0)
 
-    k = mesh.intrinsic_dim + 1
-    systems = np.empty((len(cell), k, k))
-    systems[:, :-1, :] = per_slot[owner, :, cell].transpose(0, 2, 1)
+    scale = np.sqrt((rows * rows).sum(axis=2).max())  # the largest row norm
+    distance = np.abs(patches.centers @ rows.reshape(count * c, m).T - offsets.reshape(-1))
+    reach = (
+        (scale * patches.radii + _CULL_ROUNDING * patches.extent)[:, None]
+        + np.repeat(2.0 * slack, c) + _CULL_ROUNDING * np.abs(offsets.reshape(-1))
+    )
+    live = _all_rows((distance <= reach).reshape(len(distance), count, c))  # (patches, P)
+
+    # runs of whole planes, each gathering at most a quarter of the budget:
+    # per (plane, cell) pair, n+1 vertex rows and (n+1) c signed distances
+    ends = np.cumsum(np.diff(patches.bounds) @ live)  # pairs of planes 0..i
+    limit = _SCREEN_BUDGET // (4 * (c + 1) * (c + 1))
+    outcomes = [0] * count
+    start = 0
+    while start < count:
+        before = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, before + limit, side="right")))
+        _count_run(signed, slack, patches, live, start, stop, outcomes)
+        start = stop
+    return outcomes
+
+
+def _all_rows(mask: np.ndarray) -> np.ndarray:
+    """mask.all(axis=-1) over a short last axis of plane rows."""
+    out = mask[..., 0]
+    for row in range(1, mask.shape[-1]):  # NumPy reduces a short last axis slowly
+        out = out & mask[..., row]
+    return out
+
+
+def _count_run(signed, slack, patches, live, start, stop, outcomes) -> None:
+    """count_planes on the planes start..stop-1 and the cells of their live
+    patches: screen, condition check and solve; writes each plane's outcome."""
+    plane, patch = np.nonzero(live[:, start:stop].T)  # plane-major
+    sizes = np.diff(patches.bounds)[patch]
+    owner = np.repeat(plane + start, sizes)
+    first = patches.bounds[patch] - np.cumsum(sizes) + sizes  # patch start minus pairs before
+    cell = np.arange(owner.size) + np.repeat(first, sizes)
+    _, n_vertices, c = signed.shape
+    at = np.take(patches.slots, cell, axis=1)  # (n+1, pairs): vertices, then rows of signed
+    at += owner * n_vertices
+    per_slot = np.take(signed.reshape(-1, c), at, axis=0)
+    bound = slack[owner][:, None]  # per_slot is (n+1, pairs, c)
+    near = _all_rows((per_slot.min(axis=0) <= bound) & (per_slot.max(axis=0) >= -bound))
+    owner = owner[near]
+    if owner.size == 0:
+        return
+
+    k = c + 1
+    systems = np.empty((owner.size, k, k))
+    systems[:, :-1, :] = per_slot[:, near].transpose(1, 2, 0)
     systems[:, -1, :] = 1.0
-    s = np.linalg.svd(systems, compute_uv=False)  # condition number s[0] / s[-1]
-    ok = s[:, 0] <= CONDITION_MAX * s[:, -1]  # NaN and s[-1] == 0 fail too
+    # the condition number s[0] / s[-1] is at most |A|_F^k / |det A|; below
+    # CONDITION_MAX / 8 the SVD's verdict is certain, so only the rest are decomposed
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf fail, to the SVD
+        ok = np.einsum("ijk,ijk->i", systems, systems) ** (k / 2) < (
+            CONDITION_MAX / 8 * np.abs(np.linalg.det(systems))
+        )
+    if not ok.all():
+        s = np.linalg.svd(systems[~ok], compute_uv=False)
+        ok[~ok] = s[:, 0] <= CONDITION_MAX * s[:, -1]  # NaN and s[-1] == 0 fail too
     try:
         lam_min = np.linalg.solve(systems[ok], np.eye(k)[None, :, -1:])[:, :, 0].min(axis=1)
     except np.linalg.LinAlgError:  # a singular system: count its plane alone
-        if len(planes) > 1:
-            return [outcome for p in planes for outcome in count_planes([p], mesh)]
-        reason = "singular" if ok.all() else "ill-conditioned"
-        return [NonTransverseSample(f"{reason} plane-cell system")]
+        if stop - start > 1:
+            for i in range(start, stop):
+                _count_run(signed, slack, patches, live, i, i + 1, outcomes)
+        else:
+            reason = "singular" if ok.all() else "ill-conditioned"
+            outcomes[start] = NonTransverseSample(f"{reason} plane-cell system")
+        return
     good = owner[ok]
-    outcomes = np.bincount(good[lam_min > BARYCENTRIC_TOL], minlength=len(planes)).tolist()
+    hits = np.bincount(good[lam_min > BARYCENTRIC_TOL] - start, minlength=stop - start)
+    outcomes[start:stop] = hits.tolist()
     for i in good[np.abs(lam_min) <= BARYCENTRIC_TOL].tolist():
         outcomes[i] = NonTransverseSample("intersection point grazes a cell facet")
     for i in owner[~ok].tolist():  # second, so that this reason prevails
         outcomes[i] = NonTransverseSample("ill-conditioned plane-cell system")
-    return outcomes
 
 
-def _random_planes(rng: np.random.Generator, codim: int, lo, hi, count: int) -> list:
-    """`count` rotation-invariant planes, each through a point of the inflated
-    bounding box; draws from rng exactly as `count` successive single draws."""
+def _check_orthonormal(rows: np.ndarray) -> None:
+    """Every (c, m) matrix of the (..., c, m) stack has orthonormal rows:
+    np.allclose(gram, eye, atol=1e-12) in plain ufuncs; NaN and inf fail."""
+    eye = np.eye(rows.shape[-2])
+    if not (np.abs(rows @ np.swapaxes(rows, -1, -2) - eye) <= 1e-12 + 1e-5 * eye).all():
+        raise UsageError("normal rows must be orthonormal")
+
+
+def _random_planes(rng: np.random.Generator, codim: int, lo, hi, count: int):
+    """`count` rotation-invariant planes as (count, codim, m) rows and
+    (count, codim) offsets, each through a point of the inflated bounding
+    box; draws from rng exactly as `count` successive single draws."""
     m = len(lo)
-    draws = [(rng.standard_normal((codim, m)), rng.uniform(-1.0, 1.0, size=m))
-             for _ in range(count)]
-    q, _ = np.linalg.qr(np.stack([rows.T for rows, _ in draws]))
-    center = 0.5 * (lo + hi)
-    span = 0.5 * (hi - lo) * 1.2 + 1e-12
-    anchors = [center + unit * span for _, unit in draws]
-    return [AffinePlane(q_one.T, q_one.T @ anchor) for q_one, anchor in zip(q, anchors)]
+    normals = np.empty((count, codim, m))
+    units = np.empty((count, m))
+    for normal, unit in zip(normals, units):
+        rng.standard_normal(out=normal)
+        rng.random(out=unit)  # rng.uniform(-1.0, 1.0) is -1.0 + 2.0 * rng.random()
+    units *= 2.0
+    units -= 1.0
+    rows = np.linalg.qr(normals.transpose(0, 2, 1))[0].transpose(0, 2, 1)
+    _check_orthonormal(rows)
+    anchors = 0.5 * (lo + hi) + units * (0.5 * (hi - lo) * 1.2 + 1e-12)
+    return rows, (rows @ anchors[:, :, None])[:, :, 0]
 
 
-def _perturbed_plane(
-    rng: np.random.Generator, plane: AffinePlane, foot: np.ndarray, step: float, span: float
-) -> AffinePlane:
-    """A perturbation of `plane`, whose least-squares point nearest 0 is `foot`."""
-    rows = plane.normal_rows + step * rng.standard_normal(plane.normal_rows.shape)
-    q, _ = np.linalg.qr(rows.T)
-    rows = q[:, : plane.codim].T
-    offset = rows @ foot + step * span * rng.standard_normal(plane.codim)
-    return AffinePlane(rows, offset)
+def _perturbed_planes(rows, foot, steps, row_noise, offset_noise, span: float):
+    """Perturbations of the plane with normal rows `rows` whose least-squares
+    point nearest 0 is `foot`, one per step and row of noise."""
+    q = np.linalg.qr((rows + steps[:, None, None] * row_noise).transpose(0, 2, 1))[0]
+    perturbed = q.transpose(0, 2, 1)
+    _check_orthonormal(perturbed)
+    return perturbed, perturbed @ foot + (steps * span)[:, None] * offset_noise
 
 
 def estimate_index(
@@ -195,32 +307,36 @@ def estimate_index(
     Draws `samples` transverse planes (Gaussian orientation, offset anchored
     uniformly in a 20%-inflated bounding box), keeps the running maximum,
     then optionally hill-climbs around the best plane with annealed
-    perturbations.  Deterministic for a fixed seed.  The samples are drawn
-    and counted in blocks of at most _SCREEN_BUDGET gathered distances, none
-    longer than the samples or rejections still allowed: the same stream and
-    payload as one plane at a time.  The reported maximum is re-counted on
-    the witness plane before returning.  A PL mesh can exceed its smooth
-    surface's index: the h=0.22 torus reaches 6 at seed 15.
+    perturbations.  Deterministic for a fixed seed.  Planes are drawn and
+    counted in blocks of at most _SCREEN_BUDGET signed distances; no block
+    of samples outlasts the samples or rejections still allowed.  The hill
+    climb draws the noise of all its rounds first, in round order, builds a
+    block of candidates from the current witness and counts them together;
+    after an improvement it rebuilds the rest of the block from the new
+    witness and counts it again.  So the stream and the payload are those of
+    one plane at a time.  The reported maximum is re-counted on the witness
+    plane before returning.  A PL mesh can exceed its smooth surface's
+    index: the h=0.22 torus reaches 6 at seed 15.
     """
     check("samples", samples, 1, SIZE_BUDGET, integer=True)
     check("seed", seed, 0, integer=True)
     rng = np.random.default_rng(seed)
     lo, hi = mesh.bounding_box()
     span = float(np.linalg.norm(hi - lo))
-    codim = mesh.intrinsic_dim
+    codim, m = mesh.intrinsic_dim, mesh.ambient_dim
 
     rejections = 0
     max_rejections = samples * 10
-    block = max(1, _SCREEN_BUDGET // (codim * (codim + 1) * len(mesh.cells)))
+    block = max(1, _SCREEN_BUDGET // (codim * mesh.n_vertices))
     best = -1
-    witness = None
+    witness = None  # (rows, offset) of the best plane so far
     histogram: dict[int, int] = {}
     drawn = 0
     while drawn < samples:
         # no block outlasts the samples still wanted or the rejections still allowed
         size = min(samples - drawn, max_rejections - rejections + 1, block)
-        planes = _random_planes(rng, codim, lo, hi, size)
-        for plane, count in zip(planes, count_planes(planes, mesh)):
+        rows, offsets = _random_planes(rng, codim, lo, hi, size)
+        for plane, count in enumerate(count_planes(rows, offsets, mesh)):
             if isinstance(count, NonTransverseSample):
                 rejections += 1
                 if rejections > max_rejections:
@@ -232,27 +348,33 @@ def estimate_index(
             histogram[count] = histogram.get(count, 0) + 1
             if count > best:
                 best = count
-                witness = plane
+                witness = rows[plane], offsets[plane]
 
     improvements = 0
-    if hill_climb and witness is not None:
-        step = 0.1
-        foot = np.linalg.lstsq(witness.normal_rows, witness.offset, rcond=None)[0]
-        for round_idx in range(_HILL_CLIMB_ROUNDS):
-            if round_idx and round_idx % _HILL_CLIMB_ANNEAL_EVERY == 0:
-                step *= 0.5
-            candidate = _perturbed_plane(rng, witness, foot, step, span)
-            try:
-                count = plane_mesh_intersections(candidate, mesh)
-            except NonTransverseSample:
-                rejections += 1
-                continue
-            if count > best:
-                best = count
-                witness = candidate
-                foot = np.linalg.lstsq(witness.normal_rows, witness.offset, rcond=None)[0]
-                improvements += 1
+    if hill_climb:
+        rounds = _HILL_CLIMB_ROUNDS
+        noise = rng.standard_normal((rounds, codim * (m + 1)))
+        row_noise = noise[:, : codim * m].reshape(rounds, codim, m)
+        steps = 0.1 * 0.5 ** (np.arange(rounds) // _HILL_CLIMB_ANNEAL_EVERY)
+        foot = np.linalg.lstsq(*witness, rcond=None)[0]
+        done = 0
+        while done < rounds:
+            part = slice(done, min(rounds, done + block))
+            rows, offsets = _perturbed_planes(
+                witness[0], foot, steps[part], row_noise[part], noise[part, codim * m:], span
+            )
+            for plane, count in enumerate(count_planes(rows, offsets, mesh)):
+                done += 1
+                if isinstance(count, NonTransverseSample):
+                    rejections += 1
+                elif count > best:
+                    best = count
+                    witness = rows[plane], offsets[plane]
+                    foot = np.linalg.lstsq(*witness, rcond=None)[0]
+                    improvements += 1
+                    break  # the rest of the block came from the old witness
 
+    witness = AffinePlane(*witness)
     recount = plane_mesh_intersections(witness, mesh)
     if recount != best:
         raise PreconditionError("witness plane recount disagrees with sampled maximum")

@@ -59,6 +59,8 @@ COMMANDS = {
     "index:circle-blocks": "index --mesh <dir>/sphere2.json --samples 1000 --seed 11 --degrees 2",
     "index:revolution-no-climb": "index --mesh <dir>/revolution.json --samples 300 --seed 2 "
                                  "--no-hill-climb",
+    # two hill-climb improvements: candidate blocks rebuilt from a new witness
+    "index:torus-climb": "index --mesh <dir>/torus.json --samples 1 --seed 6",
     "certify:disk": "certify --mesh <dir>/ball2g.json --k 1 --i-sigma 2 --seed 5",
     "certify:annulus-c64": "certify --mesh <dir>/annulus2.json --k 1 --i-sigma 2 --covering 2",
     "bounds:volume": "bounds --n 2 --m 2 --volume-m 3.14159 --volume-sigma 6.28319 --i-m 1 "

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,16 @@ from steklab.mesh import EmbeddedMesh
 
 def horizontal_line(offset):
     return AffinePlane(np.array([[0.0, 1.0]]), np.array([float(offset)]))
+
+
+def _one_random_plane(rng, codim, lo, hi):
+    rows, offsets = _random_planes(rng, codim, lo, hi, 1)
+    return AffinePlane(rows[0], offsets[0])
+
+
+def _stacked(planes):
+    """A list of planes as the (P, c, m) rows and (P, c) offsets of count_planes."""
+    return np.stack([p.normal_rows for p in planes]), np.stack([p.offset for p in planes])
 
 
 def test_plane_validation():
@@ -181,9 +192,9 @@ def _rejecting_counter(monkeypatch, rejected):
     count = intersection.count_planes
     calls = []
 
-    def counter(planes, mesh):
+    def counter(rows, offsets, mesh):
         outcomes = []
-        for outcome in count(planes, mesh):
+        for outcome in count(rows, offsets, mesh):
             calls.append(len(calls))
             if rejected is None or calls[-1] in rejected:
                 outcome = NonTransverseSample("rejected by the test")
@@ -338,12 +349,12 @@ def _loose_straddle_audit(mesh, index_bound, trials, seed=0):
     return worst
 
 
-def _strided_block(planes, mesh):
+def _strided_block(rows, offsets, mesh):
     """_strided_count as a block counter: per plane, its count or its exception."""
     outcomes = []
-    for plane in planes:
+    for plane_rows, offset in zip(rows, offsets):
         try:
-            outcomes.append(_strided_count(plane, mesh))
+            outcomes.append(_strided_count(AffinePlane(plane_rows, offset), mesh))
         except NonTransverseSample as exc:
             outcomes.append(exc)
     return outcomes
@@ -385,7 +396,7 @@ def test_slot_screen_matches_strided_reference(mesh_name, request):
     mesh = request.getfixturevalue(mesh_name)
     rng = np.random.default_rng(2024)
     lo, hi = mesh.bounding_box()
-    planes = [_random_planes(rng, mesh.intrinsic_dim, lo, hi, 1)[0] for _ in range(500)]
+    planes = [_one_random_plane(rng, mesh.intrinsic_dim, lo, hi) for _ in range(500)]
     if mesh.ambient_dim == 2:
         planes += [horizontal_line(0.0), horizontal_line(0.137), horizontal_line(5.0)]
     outcomes = [_outcome(plane_mesh_intersections, p, mesh) for p in planes]
@@ -548,7 +559,7 @@ def _circle_and_sliver(circle_mesh, rng):
 def _block_outcomes(planes, mesh):
     return [
         f"non-transverse: {outcome}" if isinstance(outcome, NonTransverseSample) else outcome
-        for outcome in count_planes(planes, mesh)
+        for outcome in count_planes(*_stacked(planes), mesh)
     ]
 
 
@@ -557,9 +568,9 @@ def test_block_count_matches_strided_reference(size, circle_mesh):
     rng = np.random.default_rng(31)
     mesh, sliver_line = _circle_and_sliver(circle_mesh, rng)
     if size is None:  # the block estimate_index draws on this mesh
-        size = intersection._SCREEN_BUDGET // (2 * len(mesh.cells))
+        size = intersection._SCREEN_BUDGET // mesh.n_vertices
     lo, hi = circle_mesh.bounding_box()
-    pool = [_random_planes(rng, 1, lo, hi, 1)[0] for _ in range(max(size, 7))]
+    pool = [_one_random_plane(rng, 1, lo, hi) for _ in range(max(size, 7))]
     odd = [horizontal_line(5.0), horizontal_line(0.0), sliver_line]
     expected = {id(p): _outcome(_strided_count, p, mesh) for p in pool + odd}
     assert [expected[id(p)] for p in odd] == [
@@ -588,24 +599,30 @@ def test_block_count_matches_strided_reference(size, circle_mesh):
 def test_block_draws_match_single_draws(ambient, codim, count):
     lo, hi = -np.arange(1.0, ambient + 1.0), np.arange(2.0, ambient + 2.0)
     single, stacked = np.random.default_rng(5), np.random.default_rng(5)
-    one_by_one = [_random_planes(single, codim, lo, hi, 1)[0] for _ in range(count)]
-    block = _random_planes(stacked, codim, lo, hi, count)
+    one_by_one = [_random_planes(single, codim, lo, hi, 1) for _ in range(count)]
+    rows, offsets = _random_planes(stacked, codim, lo, hi, count)
     assert single.bit_generator.state == stacked.bit_generator.state
-    for a, b in zip(one_by_one, block, strict=True):
-        assert a.normal_rows.tobytes() == b.normal_rows.tobytes()
-        assert a.offset.tobytes() == b.offset.tobytes()
+    assert rows.shape == (count, codim, ambient) and offsets.shape == (count, codim)
+    for (one_rows, one_offsets), block_rows, block_offset in zip(
+        one_by_one, rows, offsets, strict=True
+    ):
+        assert one_rows[0].tobytes() == block_rows.tobytes()
+        assert one_offsets[0].tobytes() == block_offset.tobytes()
 
 
 @pytest.mark.parametrize(
-    "mesh_name, samples, seed", [("circle_mesh", 300, 3), ("coarse_torus", 100, 5)]
+    "mesh_name, samples, seed",
+    [("circle_mesh", 300, 3), ("coarse_torus", 100, 5), ("coarse_torus", 1, 6)],
 )
 def test_estimate_payload_does_not_depend_on_block_size(
     mesh_name, samples, seed, request, monkeypatch
 ):
     mesh = request.getfixturevalue(mesh_name)
     default = estimate_index(mesh, samples=samples, seed=seed).to_payload()
-    per_plane = mesh.intrinsic_dim * (mesh.intrinsic_dim + 1) * len(mesh.cells)
-    for size in (1, 3, samples):
+    if seed == 6:  # two climbs: the rest of a block is rebuilt from the new witness
+        assert default["hill_climb_improvements"] == 2
+    per_plane = mesh.intrinsic_dim * mesh.n_vertices  # signed distances
+    for size in (1, 3, samples, intersection._HILL_CLIMB_ROUNDS):
         monkeypatch.setattr(intersection, "_SCREEN_BUDGET", size * per_plane)
         assert estimate_index(mesh, samples=samples, seed=seed).to_payload() == default
 
@@ -629,3 +646,145 @@ def test_singular_system_is_found_plane_by_plane(circle_mesh, monkeypatch):
     ]
     with pytest.raises(NonTransverseSample, match="singular"):
         plane_mesh_intersections(marked, circle_mesh)
+
+
+# -- patch culling -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_ball3():
+    return generate_mesh(FamilyDescriptor("ball-flat", h=0.5, n=3, delta=1.0))
+
+
+@pytest.mark.parametrize(
+    "mesh_name", ["circle_mesh", "torus_mesh", "coarse_torus", "revolution_mesh", "small_ball3"]
+)
+def test_patch_table_partitions_the_cells_into_balls(mesh_name, request):
+    mesh = request.getfixturevalue(mesh_name)
+    patches = intersection._patch_table(mesh)
+    sizes = np.diff(patches.bounds)
+    # every cell in exactly one patch: the patches' columns are the cells
+    assert sorted(map(tuple, patches.slots.T)) == sorted(map(tuple, mesh.cells))
+    assert patches.bounds[0] == 0 and patches.bounds[-1] == len(mesh.cells)
+    assert 1 <= sizes.min() and sizes.max() <= np.ceil(np.sqrt(len(mesh.cells)))
+    for center, radius, lo, hi in zip(patches.centers, patches.radii, patches.bounds,
+                                      patches.bounds[1:]):
+        corners = mesh.vertices[patches.slots[:, lo:hi]]
+        assert np.linalg.norm(corners - center, axis=-1).max() <= radius
+
+
+def _confetti(dim, count=40):
+    """`count` disjoint random cells of dimension dim in R^(dim+1): every
+    vertex belongs to one cell, so no neighbour shares its grazing."""
+    rng = np.random.default_rng(dim)
+    anchors = rng.uniform(-2.0, 2.0, size=(count, 1, dim + 1))
+    vertices = (anchors + 0.3 * rng.standard_normal((count, dim + 1, dim + 1))).reshape(-1, dim + 1)
+    cells = np.arange(count * (dim + 1)).reshape(count, dim + 1)
+    faces = cells[:, [[0], [1]]] if dim == 1 else cells[:, [[0, 1], [1, 2], [0, 2]]]
+    faces = faces.reshape(-1, dim)
+    return EmbeddedMesh(vertices, cells, faces, ["steklov"] * len(faces))
+
+
+_CULL_MESHES = {
+    "circle": lambda: generate_mesh(FamilyDescriptor("sphere-boundary", h=0.2, n=2, eps=1.0)),
+    "torus": lambda: generate_mesh(
+        FamilyDescriptor("torus-surface", h=0.6, major_radius=2.0, minor_radius=1.0)
+    ),
+    "disk": lambda: generate_mesh(FamilyDescriptor("ball-flat", h=0.3, n=2, delta=1.0)),
+    "segments": lambda: _confetti(1),
+    "triangles": lambda: _confetti(2),
+}
+# (scale, shift) of the vertices: translated to 1e3 and scaled to 1e-4 as
+# well as shifted to where the rounding of a signed distance exceeds the slack
+_TRANSFORMS = [(1.0, 0.0), (1e-4, 0.0), (1.0, 1e3), (1e-4, 1e3), (1.0, 1e8), (1.0, 1e10)]
+
+
+@functools.lru_cache(maxsize=None)
+def _cull_mesh(kind, transform):
+    base = _CULL_MESHES[kind]() if transform == (1.0, 0.0) else _cull_mesh(kind, (1.0, 0.0))
+    scale, shift = transform
+    direction = np.array([1.0, 0.5, -0.7])[: base.ambient_dim]
+    return EmbeddedMesh(base.vertices * scale + shift * direction, base.cells,
+                        base.boundary_faces, base.face_tags)
+
+
+def _tangent_plane(mesh, patches, p, t, rng):
+    """A plane through the farthest vertex of patch p's ball, its first row
+    normal to the ball there, moved t slacks outward; its row norms are off
+    by up to the 1e-5 in squared norm that AffinePlane accepts, the first
+    row's the largest, so its distance to the ball center exceeds the scaled
+    radius by the move alone."""
+    m, c = mesh.ambient_dim, mesh.intrinsic_dim
+    corners = mesh.vertices[patches.slots[:, patches.bounds[p]:patches.bounds[p + 1]]]
+    corners = corners.reshape(-1, m)
+    vertex = corners[np.argmax(np.linalg.norm(corners - patches.centers[p], axis=1))]
+    normals = rng.standard_normal((m, c))
+    normals[:, 0] = vertex - patches.centers[p]
+    rows = _stretched(np.linalg.qr(normals)[0].T, rng)
+    offset = rows @ vertex
+    slack = BARYCENTRIC_TOL * (np.abs(mesh.vertices @ rows.T - offset).max() + 1.0)
+    offset[0] += np.sign(rows[0] @ (vertex - patches.centers[p])) * t * slack
+    return AffinePlane(rows, offset)
+
+
+def _stretched(rows, rng):
+    """Orthonormal rows scaled to squared norms within 1e-5 of 1, the largest first."""
+    stretch = np.sort(rng.uniform(-0.99e-5, 0.99e-5, size=len(rows)))[::-1]
+    return rows * np.sqrt(1.0 + stretch)[:, None]
+
+
+@st.composite
+def culled_blocks(draw):
+    """A transformed mesh and a block of planes: random ones, ones through a
+    vertex, and tangent planes (_tangent_plane) within a few slacks of a
+    patch ball; a tangent plane within 0.01 slack grazes its vertex."""
+    mesh = _cull_mesh(draw(st.sampled_from(sorted(_CULL_MESHES))),
+                      draw(st.sampled_from(_TRANSFORMS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, m = mesh.intrinsic_dim, mesh.ambient_dim
+    patches = intersection._patch_table(mesh)
+    lo, hi = mesh.bounding_box()
+    planes = []
+    for kind in draw(st.lists(st.sampled_from(["random", "vertex", "tangent"]),
+                              min_size=1, max_size=8)):
+        if kind == "tangent":
+            t = rng.choice([-1.5, -0.01, 0.01, 0.01, 0.5, 1.5])
+            planes.append(_tangent_plane(mesh, patches, rng.integers(len(patches.radii)), t, rng))
+            continue
+        anchor = lo + (hi - lo) * rng.uniform(size=m)
+        if kind == "vertex":
+            anchor = mesh.vertices[rng.integers(mesh.n_vertices)]
+        rows = _stretched(np.linalg.qr(rng.standard_normal((m, c)))[0].T, rng)
+        planes.append(AffinePlane(rows, rows @ anchor))
+    return mesh, planes
+
+
+@given(block=culled_blocks())
+def test_culled_count_matches_strided_reference(block):
+    mesh, planes = block
+    assert _block_outcomes(planes, mesh) == [_outcome(_strided_count, p, mesh) for p in planes]
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e10])
+@pytest.mark.parametrize("kind", ["segments", "triangles"])
+def test_cull_keeps_a_patch_whose_vertex_grazes_within_the_slack(kind, shift):
+    # every vertex of these meshes lies in one cell, so a plane 0.01 slack
+    # outside a patch ball at its farthest vertex grazes only that patch.
+    # Each plane also comes with its offset moved by up to 6 ulps: at 1e10
+    # the rounding of the signed distances exceeds the slack, and only the
+    # rounding allowance keeps the patch
+    mesh = _cull_mesh(kind, (1.0, shift))
+    patches = intersection._patch_table(mesh)
+    rng = np.random.default_rng(3)
+    planes = []
+    for p in range(len(patches.radii)):
+        plane = _tangent_plane(mesh, patches, p, 0.01, rng)
+        for ulps in range(-6, 7):
+            offset = plane.offset.copy()
+            offset[0] += ulps * np.spacing(offset[0])
+            planes.append(AffinePlane(plane.normal_rows, offset))
+    outcomes = _block_outcomes(planes, mesh)
+    assert outcomes == [_outcome(_strided_count, p, mesh) for p in planes]
+    if shift == 0.0:
+        grazing = outcomes.count("non-transverse: intersection point grazes a cell facet")
+        assert grazing >= len(planes) // 2
