@@ -28,7 +28,7 @@ AUDIT_POINTS_PER_CELL = 1000  # barycentric quadrature points per straddling cel
 _HILL_CLIMB_ROUNDS = 200
 _HILL_CLIMB_ANNEAL_EVERY = 50
 _AUDIT_CHUNK = 256  # straddling cells per quadrature GEMM: bounds its (cells, P) block
-_SCREEN_BUDGET = 2**17  # signed distances per block of planes: 1 MiB
+_SCREEN_BUDGET = 2**17  # words per block of planes, half for its signed distances: 1 MiB
 _CULL_ROUNDING = 1e-12  # relative rounding allowance of the patch cull
 
 
@@ -117,8 +117,10 @@ def _patch_table(mesh: EmbeddedMesh) -> _Patches:
     ceil(sqrt(C)) cells."""
     leaf = math.isqrt(len(mesh.cells) - 1) + 1
     coords = np.ascontiguousarray(mesh.vertices.T)  # (m, N): long inner loops below
-    tree = cKDTree(np.take(coords, mesh.cells.T, axis=1).mean(axis=1).T, leafsize=leaf,
-                   balanced_tree=True)
+    # one (m, C) gather per vertex slot, not an (m, n+1, C) block with
+    # temporaries of its size: the build's peak stays near a count's
+    centroids = sum(np.take(coords, slot, axis=1) for slot in mesh.cells.T) / mesh.cells.shape[1]
+    tree = cKDTree(centroids.T, leafsize=leaf, balanced_tree=True)
     starts, pending = [], [tree.tree]
     while pending:  # depth first, lesser half first: the leaves in index order
         node = pending.pop()
@@ -128,12 +130,14 @@ def _patch_table(mesh: EmbeddedMesh) -> _Patches:
             pending += [node.greater, node.lesser]
     bounds = np.array(starts + [len(mesh.cells)])
     slots = np.ascontiguousarray(mesh.cells[tree.indices].T)
-    corners = np.take(coords, slots, axis=1)  # (m, n+1, C)
-    lo = np.array([np.minimum.reduceat(x, bounds[:-1]) for x in corners.min(axis=1)])
-    hi = np.array([np.maximum.reduceat(x, bounds[:-1]) for x in corners.max(axis=1)])
+    corners = [np.take(coords, slot, axis=1) for slot in slots]  # n+1 of (m, C)
+    lo = np.min([np.minimum.reduceat(x, starts, axis=1) for x in corners], axis=0)
+    hi = np.max([np.maximum.reduceat(x, starts, axis=1) for x in corners], axis=0)
     centers = 0.5 * (lo + hi)  # (m, patches)
-    offsets = corners - centers[:, None, np.repeat(np.arange(len(starts)), np.diff(bounds))]
-    radii = np.maximum.reduceat(np.sqrt((offsets * offsets).sum(axis=0)).max(axis=0), bounds[:-1])
+    around = np.repeat(centers, np.diff(bounds), axis=1)  # each cell's patch center
+    radii = np.max([
+        np.maximum.reduceat(np.sqrt(((x - around) ** 2).sum(axis=0)), starts) for x in corners
+    ], axis=0)
     centers = np.ascontiguousarray(centers.T)
     extent = np.linalg.norm(centers, axis=1) + radii
     return _Patches(*(read_only(a) for a in (slots, bounds, centers, radii, extent)))
@@ -151,17 +155,17 @@ def count_planes(rows: np.ndarray, offsets: np.ndarray, mesh: EmbeddedMesh) -> l
     zero).  The signed distances of all vertices to every plane come from one
     stacked matmul; a plane's slack is BARYCENTRIC_TOL (max |signed| + 1).
     A patch of cells (_patch_table) is dropped when its ball center lies
-    farther than radius + 2 slack from a normal hyperplane, the radius scaled
+    farther than radius + slack from a normal hyperplane, the radius scaled
     by the largest row norm and the reach widened by a rounding allowance
     relative to |offset| + |center| + radius: every vertex of the patch is
     then beyond the slack on one side, so none of its cells passes the
     screen.  On the cells of the surviving patches, a cell is screened in
     when, for every row, its vertices' signed distances reach within the
     slack of zero from both sides; its system is then checked and solved, in
-    runs of whole planes that gather at most a quarter of _SCREEN_BUDGET
-    unless one plane alone needs more.  The
-    matmul and the stacked LAPACK calls work per plane and per matrix, so no
-    outcome depends on the block a plane is counted in.
+    runs of whole planes whose arrays take at most half of _SCREEN_BUDGET
+    unless one plane alone needs more.  The matmul and the stacked LAPACK
+    calls work per plane and per matrix, so no outcome depends on the block
+    a plane is counted in.
     """
     count, c, m = rows.shape
     if m != mesh.ambient_dim:
@@ -171,6 +175,8 @@ def count_planes(rows: np.ndarray, offsets: np.ndarray, mesh: EmbeddedMesh) -> l
             f"plane codimension {c} must equal mesh dimension "
             f"{mesh.intrinsic_dim} for point intersections"
         )
+    if count == 0:
+        return []
     patches = mesh.cached("plane_patches", _patch_table)
     # one stacked matmul: per plane the GEMM (or, for c = 1, gemv) it has alone
     signed = np.empty((count, mesh.n_vertices, c))
@@ -184,14 +190,15 @@ def count_planes(rows: np.ndarray, offsets: np.ndarray, mesh: EmbeddedMesh) -> l
     distance = np.abs(patches.centers @ rows.reshape(count * c, m).T - offsets.reshape(-1))
     reach = (
         (scale * patches.radii + _CULL_ROUNDING * patches.extent)[:, None]
-        + np.repeat(2.0 * slack, c) + _CULL_ROUNDING * np.abs(offsets.reshape(-1))
+        + np.repeat(slack, c) + _CULL_ROUNDING * np.abs(offsets.reshape(-1))
     )
     live = _all_rows((distance <= reach).reshape(len(distance), count, c))  # (patches, P)
 
-    # runs of whole planes, each gathering at most a quarter of the budget:
-    # per (plane, cell) pair, n+1 vertex rows and (n+1) c signed distances
+    # runs of whole planes, each within half the budget: per (plane, cell)
+    # pair a run holds its plane, cell and slack, n+1 vertex rows, (n+1) c
+    # signed distances and at most 2c + 1 words of screen temporaries
     ends = np.cumsum(np.diff(patches.bounds) @ live)  # pairs of planes 0..i
-    limit = _SCREEN_BUDGET // (4 * (c + 1) * (c + 1))
+    limit = _SCREEN_BUDGET // (2 * ((c + 2) ** 2 + 1))
     outcomes = [0] * count
     start = 0
     while start < count:
@@ -216,8 +223,8 @@ def _count_run(signed, slack, patches, live, start, stop, outcomes) -> None:
     plane, patch = np.nonzero(live[:, start:stop].T)  # plane-major
     sizes = np.diff(patches.bounds)[patch]
     owner = np.repeat(plane + start, sizes)
-    first = patches.bounds[patch] - np.cumsum(sizes) + sizes  # patch start minus pairs before
-    cell = np.arange(owner.size) + np.repeat(first, sizes)
+    cell = np.repeat(patches.bounds[patch] - np.cumsum(sizes) + sizes, sizes)
+    cell += np.arange(cell.size)  # patch start minus pairs before, plus pair number
     _, n_vertices, c = signed.shape
     at = np.take(patches.slots, cell, axis=1)  # (n+1, pairs): vertices, then rows of signed
     at += owner * n_vertices
@@ -232,15 +239,8 @@ def _count_run(signed, slack, patches, live, start, stop, outcomes) -> None:
     systems = np.empty((owner.size, k, k))
     systems[:, :-1, :] = per_slot[:, near].transpose(1, 2, 0)
     systems[:, -1, :] = 1.0
-    # the condition number s[0] / s[-1] is at most |A|_F^k / |det A|; below
-    # CONDITION_MAX / 8 the SVD's verdict is certain, so only the rest are decomposed
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf fail, to the SVD
-        ok = np.einsum("ijk,ijk->i", systems, systems) ** (k / 2) < (
-            CONDITION_MAX / 8 * np.abs(np.linalg.det(systems))
-        )
-    if not ok.all():
-        s = np.linalg.svd(systems[~ok], compute_uv=False)
-        ok[~ok] = s[:, 0] <= CONDITION_MAX * s[:, -1]  # NaN and s[-1] == 0 fail too
+    s = np.linalg.svd(systems, compute_uv=False)  # condition number s[0] / s[-1]
+    ok = s[:, 0] <= CONDITION_MAX * s[:, -1]  # NaN and s[-1] == 0 fail too
     try:
         lam_min = np.linalg.solve(systems[ok], np.eye(k)[None, :, -1:])[:, :, 0].min(axis=1)
     except np.linalg.LinAlgError:  # a singular system: count its plane alone
@@ -308,7 +308,7 @@ def estimate_index(
     uniformly in a 20%-inflated bounding box), keeps the running maximum,
     then optionally hill-climbs around the best plane with annealed
     perturbations.  Deterministic for a fixed seed.  Planes are drawn and
-    counted in blocks of at most _SCREEN_BUDGET signed distances; no block
+    counted in blocks of at most _SCREEN_BUDGET / 2 signed distances; no block
     of samples outlasts the samples or rejections still allowed.  The hill
     climb draws the noise of all its rounds first, in round order, builds a
     block of candidates from the current witness and counts them together;
@@ -327,7 +327,7 @@ def estimate_index(
 
     rejections = 0
     max_rejections = samples * 10
-    block = max(1, _SCREEN_BUDGET // (codim * mesh.n_vertices))
+    block = max(1, _SCREEN_BUDGET // (2 * codim * mesh.n_vertices))
     best = -1
     witness = None  # (rows, offset) of the best plane so far
     histogram: dict[int, int] = {}

@@ -568,7 +568,7 @@ def test_block_count_matches_strided_reference(size, circle_mesh):
     rng = np.random.default_rng(31)
     mesh, sliver_line = _circle_and_sliver(circle_mesh, rng)
     if size is None:  # the block estimate_index draws on this mesh
-        size = intersection._SCREEN_BUDGET // mesh.n_vertices
+        size = intersection._SCREEN_BUDGET // (2 * mesh.n_vertices)
     lo, hi = circle_mesh.bounding_box()
     pool = [_one_random_plane(rng, 1, lo, hi) for _ in range(max(size, 7))]
     odd = [horizontal_line(5.0), horizontal_line(0.0), sliver_line]
@@ -592,6 +592,13 @@ def test_block_count_matches_strided_reference(size, circle_mesh):
         assert _block_outcomes(block, mesh) == [expected[id(p)] for p in block]
     for plane in drawn[:3] + odd:
         assert _outcome(plane_mesh_intersections, plane, mesh) == expected[id(plane)]
+
+
+@pytest.mark.parametrize("mesh_name", ["circle_mesh", "torus_mesh"])
+def test_empty_block_counts_nothing(mesh_name, request):
+    mesh = request.getfixturevalue(mesh_name)
+    c, m = mesh.intrinsic_dim, mesh.ambient_dim
+    assert count_planes(np.empty((0, c, m)), np.empty((0, c)), mesh) == []
 
 
 @pytest.mark.parametrize("ambient, codim", [(2, 1), (3, 1), (3, 2)])
@@ -621,7 +628,7 @@ def test_estimate_payload_does_not_depend_on_block_size(
     default = estimate_index(mesh, samples=samples, seed=seed).to_payload()
     if seed == 6:  # two climbs: the rest of a block is rebuilt from the new witness
         assert default["hill_climb_improvements"] == 2
-    per_plane = mesh.intrinsic_dim * mesh.n_vertices  # signed distances
+    per_plane = 2 * mesh.intrinsic_dim * mesh.n_vertices  # signed distances: half the budget
     for size in (1, 3, samples, intersection._HILL_CLIMB_ROUNDS):
         monkeypatch.setattr(intersection, "_SCREEN_BUDGET", size * per_plane)
         assert estimate_index(mesh, samples=samples, seed=seed).to_payload() == default
