@@ -259,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         "spectrum", parents=[out], help="solve the Steklov eigenproblem on a mesh"
     )
     p.add_argument("--mesh", required=True)
-    p.add_argument("--kind", choices=["steklov", "steklov-neumann"], default="steklov")
+    p.add_argument("--kind", choices=["steklov", "steklov-neumann"],
+                   help="checked against the face tags (default: the kind they pose)")
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--traces", help="CSV path for eigenvector boundary traces")

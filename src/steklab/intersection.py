@@ -50,15 +50,9 @@ class AffinePlane:
             raise UsageError("codimension must satisfy 1 <= c <= m")
         if self.offset.shape != (c,):
             raise UsageError("offset length must equal the codimension")
+        if not np.isfinite(self.offset).all():
+            raise UsageError("plane offset must be finite")
         _check_orthonormal(self.normal_rows)
-
-    @property
-    def codim(self) -> int:
-        return self.normal_rows.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.normal_rows.shape[1]
 
     def to_payload(self) -> dict:
         return {

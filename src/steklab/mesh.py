@@ -3,24 +3,24 @@
 An EmbeddedMesh is an n-dimensional simplicial complex with vertices in R^m,
 n <= m.  Cells are (n+1)-tuples of vertex indices; boundary faces are
 n-tuples carrying a "steklov" or "neumann" tag.  All facet combinatorics
-(boundary extraction, validation, submesh tags) go through one facet table,
-and the volumes of simplices of any codimension through one batched
-Gram-determinant kernel, so meshes of curves, surfaces and solids share a
-code path.  A mesh validates itself on construction and is immutable after.
+(boundary extraction and validation) go through one facet table, and the
+volumes of simplices of any codimension through one batched Gram-determinant
+kernel, so meshes of curves, surfaces and solids share a code path.  A mesh
+validates itself on construction and is immutable after.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import MeshError, UsageError, check
+from .errors import MeshError, UsageError
 from .report import open_output
 
 STEKLOV = "steklov"
@@ -210,12 +210,6 @@ class EmbeddedMesh:
         lo, hi = self.bounding_box()
         return float(np.linalg.norm(hi - lo))
 
-    def edge_lengths(self) -> np.ndarray:
-        """Lengths of all cell edges (with repetition across cells)."""
-        i, j = np.triu_indices(self.cells.shape[1], 1)
-        pts = self.vertices[self.cells]
-        return np.linalg.norm(pts[:, i, :] - pts[:, j, :], axis=2).T.ravel()
-
     def is_connected(self) -> bool:
         ncomp, _ = connected_components(_edge_graph(self.cells, self.n_vertices), directed=False)
         return ncomp == 1
@@ -277,50 +271,6 @@ class EmbeddedMesh:
         for what, measures in (("cell", vols), ("boundary face", self.face_volumes())):
             if not np.isfinite(measures.sum()):  # volumes are >= 0: one total covers each
                 raise MeshError(f"{what} volumes or their total are not finite")
-
-    # -- transforms ------------------------------------------------------
-
-    def scaled(self, t: float) -> "EmbeddedMesh":
-        """Homothety by t > 0 about the origin."""
-        check("the scale factor", t, 0, strict=True)
-        return replace(self, vertices=self.vertices * t, metadata=dict(self.metadata))
-
-    def transformed(self, rotation: np.ndarray, translation: np.ndarray) -> "EmbeddedMesh":
-        """Apply the rigid motion x -> Q x + b."""
-        q = np.asarray(rotation, dtype=float)
-        b = np.asarray(translation, dtype=float)
-        return replace(self, vertices=self.vertices @ q.T + b, metadata=dict(self.metadata))
-
-    def submesh(self, cell_indices) -> "EmbeddedMesh":
-        """Restriction to a subset of cells.
-
-        Boundary faces inherit their tags where they coincide with original
-        boundary faces; faces newly exposed by the cut are tagged neumann
-        (the mixed-problem convention for interior interfaces).
-        """
-        cells = self.cells[np.asarray(cell_indices)]
-        used = np.unique(cells)
-        remap = -np.ones(self.n_vertices, dtype=np.int64)
-        remap[used] = np.arange(len(used))
-        faces = boundary_facets(cells)
-        old = np.sort(self.boundary_faces, axis=1)
-        distinct, group, _ = _unique_rows(np.concatenate([old, faces]))
-        tag_of = np.full(len(distinct), NEUMANN, dtype=object)
-        tag_of[group[: len(old)]] = self.face_tags
-        return EmbeddedMesh(
-            self.vertices[used],
-            remap[cells],
-            remap[faces],
-            tag_of[group[len(old) :]],
-            dict(self.metadata),
-        )
-
-    def with_tags(self, face_tags) -> "EmbeddedMesh":
-        """Same mesh with replaced boundary tags (for bracketing experiments)."""
-        tags = np.asarray(face_tags, dtype=object)
-        if len(tags) != len(self.boundary_faces):
-            raise MeshError("tag count mismatch")
-        return replace(self, face_tags=tags, metadata=dict(self.metadata))
 
     # -- serialization ---------------------------------------------------
 

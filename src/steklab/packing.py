@@ -38,10 +38,8 @@ from .errors import (
     check,
 )
 from .euclidean import unit_sphere_area
-from .mesh import NEUMANN, EmbeddedMesh, read_only
+from .mesh import EmbeddedMesh, read_only
 from .spectral import (
-    KIND_STEKLOV,
-    KIND_STEKLOV_NEUMANN,
     SpectralProblem,
     assemble_operators,
     cell_gradient_norms,
@@ -473,8 +471,7 @@ def certify_sigma_k(
     certified = float(quotients[selected].max())
 
     if fem_sigma_k is None:
-        kind = KIND_STEKLOV_NEUMANN if NEUMANN in set(mesh.face_tags) else KIND_STEKLOV
-        fem = solve_steklov(SpectralProblem(mesh, kind, k_max=k))
+        fem = solve_steklov(SpectralProblem(mesh, k_max=k))
         fem_sigma_k = float(fem.eigenvalues[k])
     valid = fem_sigma_k <= certified * (1.0 + 1e-9) + 1e-8
 

@@ -37,17 +37,22 @@ DENSE_BLOCK = 128  # right-hand sides per blocked sparse solve: G-block and exte
 
 @dataclass
 class SpectralProblem:
+    """The eigenproblem the mesh's face tags pose: steklov-neumann when any face
+    is neumann, else steklov.  A kind given explicitly is checked against them."""
+
     mesh: EmbeddedMesh
-    kind: str = KIND_STEKLOV
+    kind: str | None = None
     k_max: int = 1
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        tags = set(self.mesh.face_tags)
+        if self.kind is None:
+            self.kind = KIND_STEKLOV_NEUMANN if NEUMANN in tags else KIND_STEKLOV
         if self.kind not in (KIND_STEKLOV, KIND_STEKLOV_NEUMANN):
             raise UsageError(f"unknown problem kind {self.kind!r}")
         check("k_max", self.k_max, 1, integer=True)
         check("tolerance", self.tolerance, 0, strict=True)
-        tags = set(self.mesh.face_tags)
         if self.kind == KIND_STEKLOV and NEUMANN in tags:
             raise UsageError("pure Steklov problem posed on a mesh with neumann faces")
         if STEKLOV not in tags:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from steklab.families import FamilyDescriptor, generate_mesh
+from steklab.mesh import NEUMANN, EmbeddedMesh, _unique_rows, boundary_facets
 from steklab.spectral import SpectralProblem, solve_steklov
 
 # every property test: reproducible examples, at most 100 of them, no deadline
@@ -86,6 +87,28 @@ def cylinder_spectrum(cylinder_mesh):
 def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
+
+
+def submesh(mesh: EmbeddedMesh, cell_indices) -> EmbeddedMesh:
+    """Restriction of a mesh to a subset of its cells.
+
+    Boundary faces inherit their tags where they coincide with the mesh's
+    boundary faces; faces newly exposed by the cut are tagged neumann (the
+    mixed-problem convention for interior interfaces).
+    """
+    cells = mesh.cells[np.asarray(cell_indices)]
+    used = np.unique(cells)
+    remap = -np.ones(mesh.n_vertices, dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    faces = boundary_facets(cells)
+    old = np.sort(mesh.boundary_faces, axis=1)
+    distinct, group, _ = _unique_rows(np.concatenate([old, faces]))
+    tag_of = np.full(len(distinct), NEUMANN, dtype=object)
+    tag_of[group[: len(old)]] = mesh.face_tags
+    return EmbeddedMesh(
+        mesh.vertices[used], remap[cells], remap[faces], tag_of[group[len(old) :]],
+        dict(mesh.metadata),
+    )
 
 
 @pytest.fixture(scope="session")

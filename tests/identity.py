@@ -115,6 +115,9 @@ COMMANDS.update({
     "spectrum:disk-dense": "spectrum --mesh <dir>/ball2.json --kmax 15 --traces <dir>/t4.csv",
     "spectrum:annulus-sn-dense": "spectrum --mesh <dir>/annulus2.json --kind steklov-neumann "
                                  "--kmax 60 --traces <dir>/t5.csv",
+    # the face tags pose the mixed problem: spectrum:annulus-sn without --kind
+    "spectrum:annulus-sn-inferred": "spectrum --mesh <dir>/annulus2.json --kmax 2 "
+                                    "--traces <dir>/t6.csv",
     # boundary-graded meshes and the certificates on them
     "mesh:annulus2g": "mesh --family annulus --n 2 --eps 1 --delta 2 --h 0.15 "
                       "--h-boundary 0.003125 --mesh-out <dir>/annulus2g.json",

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_rotation
+from conftest import random_rotation, submesh
 from steklab.bounds import (
     BoundInputs,
     blowup_experiment,
@@ -31,7 +31,7 @@ from steklab.closed_forms import (
 )
 from steklab.families import FamilyDescriptor, generate_mesh
 from steklab.intersection import concentration_audit, degree_upper_bound, estimate_index
-from steklab.mesh import STEKLOV
+from steklab.mesh import STEKLOV, EmbeddedMesh
 from steklab.packing import ConstantsConfig, certify_sigma_k
 from steklab.spectral import SpectralProblem, assemble_operators, solve_steklov
 
@@ -234,7 +234,10 @@ def test_criterion_8_literal_constant_dominance(
 
     cases.append(("disk", disk_mesh, disk_spectrum, 1, 2, math.pi))
 
-    pure_annulus = annulus_mesh.with_tags([STEKLOV] * len(annulus_mesh.face_tags))
+    pure_annulus = EmbeddedMesh(
+        annulus_mesh.vertices, annulus_mesh.cells, annulus_mesh.boundary_faces,
+        [STEKLOV] * len(annulus_mesh.face_tags),
+    )
     ann_fem = solve_steklov(SpectralProblem(pure_annulus, "steklov", k_max=3))
     cases.append(("annulus", pure_annulus, ann_fem, 1, 4, math.pi))
 
@@ -243,7 +246,10 @@ def test_criterion_8_literal_constant_dominance(
     rev_fem = solve_steklov(SpectralProblem(revolution_mesh, "steklov", k_max=3))
     cases.append(("revolution", revolution_mesh, rev_fem, 6, 2, 0.5 * math.pi))
 
-    pure_product = product_mesh.with_tags([STEKLOV] * len(product_mesh.face_tags))
+    pure_product = EmbeddedMesh(
+        product_mesh.vertices, product_mesh.cells, product_mesh.boundary_faces,
+        [STEKLOV] * len(product_mesh.face_tags),
+    )
     prod_fem = solve_steklov(SpectralProblem(pure_product, "steklov", k_max=3))
     cases.append(("product", pure_product, prod_fem, 2, 8, 0.3 * math.pi))
 
@@ -319,7 +325,8 @@ def test_criterion_11_property_suites():
     ref = solve_steklov(SpectralProblem(base, "steklov", k_max=3)).eigenvalues
     for _ in range(100):
         t = float(rng.uniform(0.2, 5.0))
-        got = solve_steklov(SpectralProblem(base.scaled(t), "steklov", k_max=3)).eigenvalues
+        scaled = EmbeddedMesh(base.vertices * t, base.cells, base.boundary_faces, base.face_tags)
+        got = solve_steklov(SpectralProblem(scaled, "steklov", k_max=3)).eigenvalues
         if not np.allclose(got, ref / t, rtol=1e-8, atol=1e-12):
             failures.append("scale")
             break
@@ -330,9 +337,8 @@ def test_criterion_11_property_suites():
     for _ in range(100):
         q = random_rotation(rng, 3)
         b = rng.standard_normal(3) * 5
-        got = solve_steklov(
-            SpectralProblem(cyl.transformed(q, b), "steklov", k_max=3)
-        ).eigenvalues
+        moved = EmbeddedMesh(cyl.vertices @ q.T + b, cyl.cells, cyl.boundary_faces, cyl.face_tags)
+        got = solve_steklov(SpectralProblem(moved, "steklov", k_max=3)).eigenvalues
         if not np.allclose(got, ref, rtol=1e-10, atol=1e-12):
             failures.append("rigid")
             break
@@ -347,7 +353,7 @@ def test_criterion_11_property_suites():
         keep = np.linalg.norm(centroids - hole, axis=1) > radius
         if keep.all():
             continue
-        omega = base.submesh(np.nonzero(keep)[0])
+        omega = submesh(base, np.nonzero(keep)[0])
         if not omega.is_connected():
             continue
         trials += 1

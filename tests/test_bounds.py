@@ -261,6 +261,9 @@ def test_fit_asymptotics_guards():
         fit_asymptotics(spectrum, 2, 2 * math.pi, 2, 40)
     with pytest.raises(UsageError):
         fit_asymptotics(spectrum, 2, 2 * math.pi, 20, 60)
+    spectrum[30] = 0.0
+    with pytest.raises(UsageError, match="nonpositive"):
+        fit_asymptotics(spectrum, 2, 2 * math.pi, 20, 40)
 
 
 def test_blowup_experiment_rows():

@@ -124,6 +124,42 @@ def test_spectrum_solver_failure_exits_3(annulus_file, tmp_path, monkeypatch, ca
         assert err == "numerical failure: out of memory\n"
 
 
+def test_spectrum_negative_leading_eigenvalue_exits_3(annulus_file, tmp_path, monkeypatch, capsys):
+    true_eigsh = spectral.eigsh
+
+    def negative_eigsh(*args, **kwargs):
+        vals, vecs = true_eigsh(*args, **kwargs)
+        return np.concatenate([[-1.0], vals[1:]]), vecs
+
+    monkeypatch.setattr(spectral, "eigsh", negative_eigsh)
+    mesh_path, _ = annulus_file
+    out = tmp_path / "x.json"
+    assert run(["spectrum", "--mesh", str(mesh_path), "--kmax", "1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "numerical failure: leading eigenvalue -1.0 is significantly negative\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
+def test_spectrum_kind_comes_from_the_face_tags(annulus_file, tmp_path, capsys):
+    mesh_path, _ = annulus_file
+    docs = []
+    for kind in ([], ["--kind", "steklov-neumann"]):
+        out = tmp_path / f"spec{len(docs)}.json"
+        assert run(["spectrum", "--mesh", str(mesh_path), *kind, "--kmax", "1",
+                    "--out", str(out)]) == 0
+        docs.append(read_json(out))
+    assert docs[0]["payload"] == docs[1]["payload"]
+    assert docs[0]["payload"]["metadata"]["kind"] == "steklov-neumann"
+    assert docs[0]["parameters"]["kind"] is None
+    capsys.readouterr()
+    assert run(["spectrum", "--mesh", str(mesh_path), "--kind", "steklov", "--kmax", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: pure Steklov problem posed on a mesh with neumann faces\n"
+    )
+
+
 def test_oracle_values(tmp_path, capsys):
     assert run(["oracle", "annulus-sn", "--n", "2", "--eps", "1", "--delta", "2",
                 "--mode", "1"]) == 0
@@ -169,6 +205,15 @@ def test_index_rejects_non_finite_vertex(tmp_path, capsys):
     assert "non-finite" in captured.err
     assert "Traceback" not in captured.err + captured.out
     assert not out.exists()
+
+
+def test_index_rejects_a_degree_that_is_not_a_number(tmp_path, capsys, disk_document):
+    mesh_path = tmp_path / "disk.json"
+    mesh_path.write_text(json.dumps(disk_document))
+    assert run(["index", "--mesh", str(mesh_path), "--degrees", "2,x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: '2,x' is not a comma-separated list of numbers\n"
 
 
 def test_index_union_degrees(tmp_path, capsys):

@@ -44,6 +44,17 @@ def test_plane_validation():
         AffinePlane(np.array([[1.0, 1.0]]), np.array([0.0]))
     with pytest.raises(UsageError):
         AffinePlane(np.array([[1.0, 0.0]]), np.array([0.0, 1.0]))
+    for rows in (np.zeros((0, 2)), np.eye(3)[:, :2]):  # codimension 0, and 3 in R^2
+        with pytest.raises(UsageError, match="codimension must satisfy"):
+            AffinePlane(rows, np.zeros(len(rows)))
+    for offset in (np.nan, np.inf, -np.inf):
+        with pytest.raises(UsageError, match="offset must be finite"):
+            AffinePlane(np.array([[0.0, 1.0]]), np.array([offset]))
+
+
+def test_count_planes_rejects_a_plane_of_another_ambient_dimension(circle_mesh):
+    with pytest.raises(UsageError, match="ambient dimensions differ"):
+        count_planes(np.array([[[0.0, 0.0, 1.0]]]), np.zeros((1, 1)), circle_mesh)
 
 
 def test_line_meets_circle_twice(circle_mesh):

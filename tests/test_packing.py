@@ -200,7 +200,7 @@ def test_certificate_lipschitz_bound(certified_disk):
 
 def test_certificate_scaling_covariance(certified_disk):
     mesh, cert = certified_disk
-    scaled = mesh.scaled(2.0)
+    scaled = EmbeddedMesh(mesh.vertices * 2.0, mesh.cells, mesh.boundary_faces, mesh.face_tags)
     config = ConstantsConfig(use_empirical=True)
     cert2 = certify_sigma_k(
         scaled, 1, config, i_sigma=2, fem_sigma_k=cert.sigma_k_fem / 2.0

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.sparse import coo_matrix
 
-from conftest import random_rotation
+from conftest import random_rotation, submesh
 from steklab import spectral
 from steklab.closed_forms import cylinder_steklov_spectrum, disk_steklov_spectrum
 from steklab.errors import NumericalError, UsageError
@@ -248,6 +248,11 @@ def test_kind_validation(annulus_mesh):
         SpectralProblem(annulus_mesh, "robin", k_max=1)
 
 
+def test_kind_defaults_to_the_face_tags(disk_mesh_coarse, annulus_mesh):
+    assert SpectralProblem(disk_mesh_coarse, k_max=1).kind == "steklov"
+    assert SpectralProblem(annulus_mesh, k_max=1).kind == "steklov-neumann"
+
+
 def test_kmax_exceeding_boundary_dofs():
     mesh = interval_mesh()
     with pytest.raises(UsageError, match="Steklov vertices"):
@@ -294,7 +299,8 @@ def test_scale_covariance_randomized():
     ref = solve_steklov(SpectralProblem(base, "steklov", k_max=4)).eigenvalues
     for _ in range(100):
         t = float(rng.uniform(0.2, 5.0))
-        scaled = solve_steklov(SpectralProblem(base.scaled(t), "steklov", k_max=4)).eigenvalues
+        mesh = EmbeddedMesh(base.vertices * t, base.cells, base.boundary_faces, base.face_tags)
+        scaled = solve_steklov(SpectralProblem(mesh, "steklov", k_max=4)).eigenvalues
         assert np.allclose(scaled, ref / t, rtol=1e-8, atol=1e-12)
 
 
@@ -307,7 +313,8 @@ def test_rigid_motion_invariance_randomized():
     for _ in range(100):
         q = random_rotation(rng, 3)
         b = rng.standard_normal(3) * 10
-        moved = base.transformed(q, b)
+        moved = EmbeddedMesh(base.vertices @ q.T + b, base.cells, base.boundary_faces,
+                             base.face_tags)
         got = solve_steklov(SpectralProblem(moved, "steklov", k_max=4)).eigenvalues
         assert np.allclose(got, ref, rtol=1e-10, atol=1e-12)
 
@@ -327,7 +334,7 @@ def test_sn_bracketing_on_subdomains():
         keep = np.linalg.norm(centroids - hole_center, axis=1) > hole_radius
         if keep.all():
             continue
-        omega = base.submesh(np.nonzero(keep)[0])
+        omega = submesh(base, np.nonzero(keep)[0])
         if not omega.is_connected():
             continue
         trials += 1
@@ -349,7 +356,7 @@ def test_growing_steklov_region_never_increases_eigenvalues():
     while trials < 100:
         keep = rng.random(n_faces) < rng.uniform(0.3, 0.9)
         tags = np.where(keep, STEKLOV, NEUMANN).astype(object)
-        retagged = base.with_tags(tags)
+        retagged = EmbeddedMesh(base.vertices, base.cells, base.boundary_faces, tags)
         if len(retagged.steklov_vertices()) <= k_max:
             continue
         trials += 1
