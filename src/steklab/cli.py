@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mesh", required=True)
     p.add_argument("--kind", choices=["steklov", "steklov-neumann"],
-                   help="checked against the face tags (default: the kind they pose)")
+                   help="must be the kind the face tags pose, which is the default")
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--traces", help="CSV path for eigenvector boundary traces")

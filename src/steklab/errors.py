@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package, and its one parameter check.
 
 The CLI maps these onto exit codes: UsageError -> 2, NumericalError -> 3,
-PreconditionError (and subclasses) -> 4.
+PreconditionError (and subclasses) and MeshError -> 4, any other
+SteklabError -> 3.
 """
 
 import math

@@ -27,8 +27,6 @@ STEKLOV = "steklov"
 NEUMANN = "neumann"
 
 MESH_FORMAT_VERSION = 1
-# list items per json.dumps call in EmbeddedMesh.save
-SAVE_BLOCK = 1024
 
 
 def simplex_grams(vertices: np.ndarray, simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,24 +287,10 @@ class EmbeddedMesh:
         }
 
     def save(self, path) -> None:
-        """Write exactly the text of json.dumps(self.to_document()).
-
-        json.dump would run CPython's pure-Python encoder, and one json.dumps
-        holds every token of the document until it joins them, so lists go
-        through the C encoder SAVE_BLOCK items at a time.
-        """
+        """Write the document as one json.dumps text; json.dump would run
+        CPython's pure-Python encoder instead of its C encoder."""
         with open_output(path) as fh:
-            for i, (key, value) in enumerate(self.to_document().items()):
-                fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-                if not isinstance(value, list):
-                    fh.write(json.dumps(value))
-                    continue
-                fh.write("[")
-                for start in range(0, len(value), SAVE_BLOCK):
-                    block = json.dumps(value[start : start + SAVE_BLOCK])[1:-1]
-                    fh.write((", " if start else "") + block)
-                fh.write("]")
-            fh.write("}")
+            fh.write(json.dumps(self.to_document()))
 
     @classmethod
     def from_document(cls, doc: dict) -> "EmbeddedMesh":

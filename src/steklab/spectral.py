@@ -38,7 +38,7 @@ DENSE_BLOCK = 128  # right-hand sides per blocked sparse solve: G-block and exte
 @dataclass
 class SpectralProblem:
     """The eigenproblem the mesh's face tags pose: steklov-neumann when any face
-    is neumann, else steklov.  A kind given explicitly is checked against them."""
+    is neumann, else steklov.  A kind given explicitly must be that kind."""
 
     mesh: EmbeddedMesh
     kind: str | None = None
@@ -47,14 +47,13 @@ class SpectralProblem:
 
     def __post_init__(self):
         tags = set(self.mesh.face_tags)
-        if self.kind is None:
-            self.kind = KIND_STEKLOV_NEUMANN if NEUMANN in tags else KIND_STEKLOV
-        if self.kind not in (KIND_STEKLOV, KIND_STEKLOV_NEUMANN):
-            raise UsageError(f"unknown problem kind {self.kind!r}")
+        posed = KIND_STEKLOV_NEUMANN if NEUMANN in tags else KIND_STEKLOV
         check("k_max", self.k_max, 1, integer=True)
         check("tolerance", self.tolerance, 0, strict=True)
-        if self.kind == KIND_STEKLOV and NEUMANN in tags:
-            raise UsageError("pure Steklov problem posed on a mesh with neumann faces")
+        if self.kind not in (None, posed):
+            raise UsageError(f"kind {self.kind!r} does not match the face tags, "
+                             f"which pose {posed!r}")
+        self.kind = posed
         if STEKLOV not in tags:
             raise UsageError("no steklov faces on the mesh")
 

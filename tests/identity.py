@@ -86,6 +86,8 @@ COMMANDS = {
                             "--covering literal",
     "bounds:no-r0": "bounds --n 2 --m 2 --volume-m 3 --volume-sigma 6 --i-m 1 --i-sigma 2",
     "fail:spectrum-closed": "spectrum --mesh <dir>/torus.json",
+    "fail:spectrum-kind-mismatch": "spectrum --mesh <dir>/ball2.json --kind steklov-neumann "
+                                   "--kmax 3",
     "fail:certify-closed": "certify --mesh <dir>/torus.json --k 1 --i-sigma 2",
     "fail:missing-mesh": "index --mesh <dir>/absent.json",
     "fail:out-missing-dir": "oracle disk --out <dir>/absent/r.json",

@@ -156,8 +156,20 @@ def test_spectrum_kind_comes_from_the_face_tags(annulus_file, tmp_path, capsys):
     capsys.readouterr()
     assert run(["spectrum", "--mesh", str(mesh_path), "--kind", "steklov", "--kmax", "1"]) == 2
     assert capsys.readouterr().err == (
-        "usage error: pure Steklov problem posed on a mesh with neumann faces\n"
+        "usage error: kind 'steklov' does not match the face tags, which pose 'steklov-neumann'\n"
     )
+
+
+def test_spectrum_mixed_kind_on_an_all_steklov_mesh_exits_2(disk_mesh_coarse, tmp_path, capsys):
+    mesh_path, out = tmp_path / "disk.json", tmp_path / "spec.json"
+    disk_mesh_coarse.save(mesh_path)
+    assert run(["spectrum", "--mesh", str(mesh_path), "--kind", "steklov-neumann", "--kmax", "3",
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "usage error: kind 'steklov-neumann' does not match the face tags, which pose 'steklov'\n"
+    )
+    assert captured.out == "" and not out.exists()
 
 
 def test_oracle_values(tmp_path, capsys):

@@ -8,6 +8,7 @@ EXIT_CODES = {
     "certify:annulus-c64": 4,
     "fail:certify-literal": 4,
     "fail:spectrum-closed": 2,
+    "fail:spectrum-kind-mismatch": 2,
     "fail:certify-closed": 2,
     "fail:missing-mesh": 2,
     "fail:out-missing-dir": 2,

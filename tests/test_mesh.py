@@ -198,7 +198,7 @@ def _nested_metadata_mesh():
 
 
 SAVE_CASES = {
-    # more vertices, cells and faces than one SAVE_BLOCK (criterion 7's disk)
+    # criterion 7's disk, the largest mesh that is saved
     "graded-disk": lambda: generate_mesh(
         FamilyDescriptor("ball-flat", h=0.15, n=2, delta=1.0, h_boundary=0.9 / 288)
     ),

@@ -241,11 +241,14 @@ def test_residual_gate_rejects_perturbed_eigenvalues(disk_mesh_coarse, monkeypat
         solve_steklov(SpectralProblem(disk_mesh_coarse, "steklov", k_max=3))
 
 
-def test_kind_validation(annulus_mesh):
+def test_kind_validation(disk_mesh_coarse, annulus_mesh):
     with pytest.raises(UsageError, match="neumann"):
         SpectralProblem(annulus_mesh, "steklov", k_max=1)
     with pytest.raises(UsageError):
         SpectralProblem(annulus_mesh, "robin", k_max=1)
+    # the mixed kind needs a neumann face to pose it
+    with pytest.raises(UsageError, match="which pose 'steklov'$"):
+        SpectralProblem(disk_mesh_coarse, "steklov-neumann", k_max=1)
 
 
 def test_kind_defaults_to_the_face_tags(disk_mesh_coarse, annulus_mesh):
