@@ -448,8 +448,8 @@ def obstruction_experiment(
     """
     check("n", n, 2, integer=True)
     check("beta", beta, 0)
-    # the last k first, so that a long range fails before it is expanded
-    check("each k", k_values[-1] if k_values else 0, 1, SIZE_BUDGET, integer=True)
+    if k_values:  # the last k first, so that a long range fails before it is expanded
+        check("each k", k_values[-1], 1, SIZE_BUDGET, integer=True)
     # each k expands the sphere spectrum of degrees <= D = k + 6, whose
     # multiplicities sum to C(D+n-1, n-1) + C(D+n-2, n-1); the sum over the
     # ks is checked as they are read, so a long range fails after a few thousand

@@ -99,7 +99,7 @@ def _oracle_annulus_sn(args) -> dict:
 
 
 def _oracle_cylinder(args) -> dict:
-    if args.lambdas:
+    if args.lambdas is not None:
         lams = _number_list(args.lambdas)
     else:
         pairs = closed_forms.sphere_laplace_spectrum(args.n, args.radius, args.max_degree)

@@ -19,6 +19,7 @@ evaluators.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -275,13 +276,17 @@ def build_packing(
     """Greedy construction of num_sets disjoint atom sets.
 
     Hypothesis (checked by scanning balls at atom centers): every r-ball
-    holds at most total/(4 C^2 K) of the measure.  Each set grows from the
-    heaviest unused atom by absorbing nearest atoms within distance r of the
-    set until the target measure total/(2 C K) is reached, then a 3r moat
-    around it becomes unusable.  The construction reports failure with the
-    achieved measures when some set falls short; the conclusion (measure
-    floor and pairwise 3r separation) is re-verified directly before
-    returning.
+    holds at most total/(4 C^2 K) of the measure.  Each set absorbs one atom
+    at a time until it reaches the target measure total/(2 C K), then a 3r moat
+    around it becomes unusable.  Every pick takes the nearest usable atom
+    within r of the set, popped from a heap of (distance, atom) entries pushed
+    whenever an atom's distance falls; when the heap holds none (a new set, or
+    a chain that ran out, so a set may be a union of chains) it takes the next
+    usable atom of one stable descending-weight order.  Ties go to the first
+    index, as np.argmin and np.argmax break them.  The construction reports
+    failure with the achieved measures when some set falls short; the
+    conclusion (measure floor and pairwise 3r separation) is re-verified
+    directly before returning.
     """
     check("r", r, 0, strict=True)
     check("num_sets", num_sets, 1, integer=True)
@@ -303,42 +308,28 @@ def build_packing(
     centre, near, near_dist = (np.concatenate(part) for part in zip(*lists))
     bounds = np.searchsorted(centre, np.arange(len(w) + 1))
 
-    def absorb(j, dist_to_set):
-        """Lower dist_to_set to the distance from atom j on the atoms within 3r of it.
-
-        Only the frontier (<= r), its nearest atom and the moat (> 3r) are ever
-        read, so a distance beyond 3r of every member may stay at inf.
-        """
-        rows = slice(bounds[j], bounds[j + 1])
-        dist_to_set[near[rows]] = np.minimum(dist_to_set[near[rows]], near_dist[rows])
-
+    heaviest = iter(np.argsort(-w, kind="stable").tolist())
     usable = np.ones(len(w), dtype=bool)
     sets, measures = [], []
     for _ in range(num_sets):
-        if not usable.any():
-            measures.append(0.0)
-            sets.append(np.zeros(0, dtype=np.int64))
-            continue
-        seed_atom = int(np.argmax(np.where(usable, w, -np.inf)))
-        usable[seed_atom] = False
-        members = [seed_atom]
-        acc = float(w[seed_atom])
+        members, acc, heap = [], 0.0, []
+        # exact within 3r of every member, which is all the frontier and moat read
         dist_to_set = np.full(len(w), np.inf)
-        absorb(seed_atom, dist_to_set)
         while acc < target:
-            frontier = usable & (dist_to_set <= r)
-            if not frontier.any():
-                # chain exhausted; a set may be a union of chains, so
-                # reseed at the heaviest remaining atom
-                if not usable.any():
-                    break
-                j = int(np.argmax(np.where(usable, w, -np.inf)))
-            else:
-                j = int(np.argmin(np.where(frontier, dist_to_set, np.inf)))
+            while heap and not usable[heap[0][1]]:
+                heapq.heappop(heap)
+            j = heapq.heappop(heap)[1] if heap else next((a for a in heaviest if usable[a]), None)
+            if j is None:
+                break
             usable[j] = False
             members.append(j)
             acc += float(w[j])
-            absorb(j, dist_to_set)
+            atoms, d = near[bounds[j] : bounds[j + 1]], near_dist[bounds[j] : bounds[j + 1]]
+            lower = d < dist_to_set[atoms]
+            dist_to_set[atoms[lower]] = d[lower]
+            fresh = lower & (d <= r) & usable[atoms]
+            for entry in zip(d[fresh].tolist(), atoms[fresh].tolist()):
+                heapq.heappush(heap, entry)
         sets.append(np.array(members, dtype=np.int64))
         measures.append(acc)
         usable &= dist_to_set > 3.0 * r

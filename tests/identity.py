@@ -92,6 +92,8 @@ COMMANDS = {
     "fail:missing-mesh": "index --mesh <dir>/absent.json",
     "fail:out-missing-dir": "oracle disk --out <dir>/absent/r.json",
     "fail:mesh-nan": "mesh --family disk --delta 1 --h nan --mesh-out <dir>/x.json",
+    "fail:oracle-cylinder-empty-lambdas": "oracle cylinder --L 1 --count 4 --lambdas=",
+    "fail:obstruction-empty-range": "experiment obstruction --k-min 3 --k-max 2",
 }
 _BOUNDS = "bounds --n 2 --m 2 --volume-m 3.14 --volume-sigma 6.28 --i-m 1 --i-sigma 2"
 COMMANDS.update({
@@ -130,6 +132,7 @@ COMMANDS.update({
     "certify:disk-k3": "certify --mesh <dir>/ball2g.json --k 3 --i-sigma 2 --seed 7",
     "certify:annulus-sn-k1": "certify --mesh <dir>/annulus2g.json --k 1 --i-sigma 2",
     "certify:cylinder-k1": "certify --mesh <dir>/cylinderg.json --k 1 --i-sigma 2 --seed 7",
+    "certify:cylinder-k3": "certify --mesh <dir>/cylinderg.json --k 3 --i-sigma 2",
 })
 
 

@@ -300,7 +300,8 @@ def test_obstruction_exponents_circle():
     assert weighted.consistent
 
 
-@pytest.mark.parametrize("ks", [[5], [7, 7, 7]])
+# range(3, 3) is `experiment obstruction --k-min 3 --k-max 2`: no k to check
+@pytest.mark.parametrize("ks", [[5], [7, 7, 7], range(3, 3)])
 def test_obstruction_needs_two_distinct_k(ks):
     with pytest.raises(UsageError, match="two distinct k"):
         obstruction_experiment(2, 0.0, ks)

@@ -712,6 +712,8 @@ def test_spectrum_non_finite_tolerance_exits_2(tmp_path, capsys, disk_document, 
         ([*BOUNDS_ARGS, "--m", "10000000000"], 3),
         # one k fits no exponent
         (["experiment", "obstruction", "--k-min", "5", "--k-max", "5"], 2),
+        # an empty list is not the sphere spectrum's stand-in: it has no 0
+        (["oracle", "cylinder", "--L", "1", "--count", "4", "--lambdas="], 2),
     ],
 )
 def test_out_of_range_parameter_exit_code(tmp_path, capsys, argv, expected):

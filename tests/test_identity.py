@@ -13,6 +13,8 @@ EXIT_CODES = {
     "fail:missing-mesh": 2,
     "fail:out-missing-dir": 2,
     "fail:mesh-nan": 2,
+    "fail:oracle-cylinder-empty-lambdas": 2,
+    "fail:obstruction-empty-range": 2,
     "x:bounds-empirical": 2,
     "x:bounds-junk": 2,
     "x:bounds-c-huge": 2,

@@ -442,6 +442,39 @@ def test_build_packing_matches_full_sweeps(graded_measure, spacings, num_sets, c
     assert _packing_outcome(build_packing, graded_measure, r, num_sets, c_cover) == expected
 
 
+@pytest.fixture(scope="module")
+def torus_measure():
+    """The product family's inner torus: 630 atoms on a grid, where many distances tie exactly."""
+    desc = FamilyDescriptor(
+        "product-annulus-circle", h=0.2, n=2, eps=0.5, delta=2.0, circle_radius=0.3
+    )
+    return boundary_measure(generate_mesh(desc))
+
+
+# (r in atom spacings, set sizes): 2 sets at C = 1; at 1.0 and 2.5 spacings the
+# second set falls short, and the error's achieved measures are compared
+@pytest.mark.parametrize("spacings, sizes", [(1.0, None), (1.5, [158, 158]), (2.5, None)])
+def test_build_packing_matches_full_sweeps_on_a_torus(torus_measure, spacings, sizes):
+    r = spacings * torus_measure.spacing
+    expected = _packing_outcome(reference_build_packing, torus_measure, r, 2, 1)
+    assert _packing_outcome(build_packing, torus_measure, r, 2, 1) == expected
+    if sizes is None:
+        assert expected[0] is PreconditionError
+    else:
+        assert [len(s) for s in expected[1]] == sizes
+
+
+def test_packing_pairs_within_3r_meet_the_size_budget(monkeypatch):
+    # criterion 7's disk at k = 3: 1.11 spacings, 8 sets, C = 3, 14,077 atom pairs within 3r
+    measure = boundary_measure(generate_mesh(GRADED["disk"]))
+    r = 1.11 * measure.spacing
+    monkeypatch.setattr(packing, "SIZE_BUDGET", 14_076)
+    with pytest.raises(UsageError, match="the atom pairs within 3r must be at most 14076 "):
+        build_packing(measure, r, 8, 3)
+    monkeypatch.setattr(packing, "SIZE_BUDGET", 14_077)
+    assert len(build_packing(measure, r, 8, 3).sets) == 8
+
+
 def fresh_copy(mesh):
     """The same mesh as a new object, so nothing derived from it is cached yet."""
     return EmbeddedMesh(mesh.vertices, mesh.cells, mesh.boundary_faces, mesh.face_tags)
