@@ -28,7 +28,7 @@ AUDIT_POINTS_PER_CELL = 1000  # barycentric quadrature points per straddling cel
 _HILL_CLIMB_ROUNDS = 200
 _HILL_CLIMB_ANNEAL_EVERY = 50
 _AUDIT_CHUNK = 256  # straddling cells per quadrature GEMM: bounds its (cells, P) block
-_SCREEN_BUDGET = 2**17  # words per block of planes, half for its signed distances: 1 MiB
+_SCREEN_BUDGET = 2**18  # words per block of planes, half for its signed distances: 2 MiB
 _CULL_ROUNDING = 1e-12  # relative rounding allowance of the patch cull
 
 
@@ -157,9 +157,9 @@ def count_planes(rows: np.ndarray, offsets: np.ndarray, mesh: EmbeddedMesh) -> l
     when, for every row, its vertices' signed distances reach within the
     slack of zero from both sides; its system is then checked and solved, in
     runs of whole planes whose arrays take at most half of _SCREEN_BUDGET
-    unless one plane alone needs more.  The matmul and the stacked LAPACK
-    calls work per plane and per matrix, so no outcome depends on the block
-    a plane is counted in.
+    (1 MiB) unless one plane alone needs more.  The matmul and the stacked
+    LAPACK calls work per plane and per matrix, so no outcome depends on the
+    block a plane is counted in.
     """
     count, c, m = rows.shape
     if m != mesh.ambient_dim:
@@ -302,15 +302,15 @@ def estimate_index(
     uniformly in a 20%-inflated bounding box), keeps the running maximum,
     then optionally hill-climbs around the best plane with annealed
     perturbations.  Deterministic for a fixed seed.  Planes are drawn and
-    counted in blocks of at most _SCREEN_BUDGET / 2 signed distances; no block
-    of samples outlasts the samples or rejections still allowed.  The hill
-    climb draws the noise of all its rounds first, in round order, builds a
-    block of candidates from the current witness and counts them together;
-    after an improvement it rebuilds the rest of the block from the new
-    witness and counts it again.  So the stream and the payload are those of
-    one plane at a time.  The reported maximum is re-counted on the witness
-    plane before returning.  A PL mesh can exceed its smooth surface's
-    index: the h=0.22 torus reaches 6 at seed 15.
+    counted in blocks of at most _SCREEN_BUDGET / 2 signed distances
+    (1 MiB); no block of samples outlasts the samples or rejections still
+    allowed.  The hill climb draws the noise of all its rounds first, in
+    round order, builds a block of candidates from the current witness and
+    counts them together; after an improvement it rebuilds the rest of the
+    block from the new witness and counts it again.  So the stream and the
+    payload are those of one plane at a time.  The reported maximum is
+    re-counted on the witness plane before returning.  A PL mesh can exceed
+    its smooth surface's index: the h=0.22 torus reaches 6 at seed 15.
     """
     check("samples", samples, 1, SIZE_BUDGET, integer=True)
     check("seed", seed, 0, integer=True)
@@ -431,6 +431,13 @@ def concentration_audit(
     spread being its largest vertex-to-centroid distance.  The centroid test is
     exact: all of a simplex lies within spread of its centroid, so a dropped
     cell holds no quadrature point of the ball, and the margin absorbs rounding.
+    Only the worst ratio is kept, so a trial skips the quadrature once an upper
+    bound on its ratio is no larger than the worst so far: every straddling
+    cell counted whole, then every one that passes the centroid test.  Each
+    bound sums an array of the quadrature's length and order, so NumPy's
+    pairwise sum adds it in the same tree, term by term no smaller; rounding
+    is monotone, so the bound is never below the ratio and the report is
+    bit-identical to integrating every trial.
     Returns the worst ratio against the cap, which must stay near or below 1
     whenever index_bound really bounds the intersection index.
     """
@@ -473,10 +480,15 @@ def concentration_audit(
         inside = dmax <= radius
         volume = float(vols[inside].sum())
         straddle = np.nonzero(~inside & (dmin <= radius + 2.0 * spread))[0]
+        scale = cap_coeff * radius**q
+        if (volume + float(vols[straddle].sum())) / scale <= worst[0]:
+            continue  # the bounds of the docstring: this trial cannot be the worst
         # the centroid test of the docstring; a cell it drops keeps its zero in
         # the sum, so the summation order and every bit of the volume stay
         reach = (radius + spread[straddle]) * (1.0 + 1e-12)
         near = np.linalg.norm(centroids[straddle] - center, axis=1) <= reach
+        if (volume + float((vols[straddle] * near).sum())) / scale <= worst[0]:
+            continue
         rel = slot_pts[:, straddle[near]].transpose(1, 0, 2) - center  # (s, n+1, m)
         grams = np.matmul(rel, rel.transpose(0, 2, 1)).reshape(len(rel), len(outer))
         blocks = np.split(grams, range(_AUDIT_CHUNK, len(rel), _AUDIT_CHUNK))
@@ -486,7 +498,7 @@ def concentration_audit(
         )
         volume += float((vols[straddle] * (hits / AUDIT_POINTS_PER_CELL)).sum())
 
-        ratio = volume / (cap_coeff * radius**q)
+        ratio = volume / scale
         if ratio > worst[0]:
             worst = (ratio, center, radius)
 

@@ -437,28 +437,68 @@ def test_estimate_payload_matches_strided_reference(
     assert current.to_payload() == reference.to_payload()
 
 
+@pytest.fixture(scope="module")
+def coarse_sphere3():
+    return generate_mesh(FamilyDescriptor("sphere-boundary", h=0.3, n=3, eps=1.0))
+
+
+def _audit_case(mesh_name, bound, trials=300):
+    name = f"{mesh_name}-{bound}" + (f"-{trials}-trials" if trials != 300 else "")
+    return pytest.param(mesh_name, bound, trials, id=name)
+
+
+# the references integrate every trial; the audit skips those that cannot
+# become the worst: none at one trial, most of 2,000
+_PRUNING_CASES = [
+    _audit_case("small_ball3", 1),
+    _audit_case("coarse_sphere3", 2),
+    _audit_case("coarse_torus", 4, trials=1),
+    _audit_case("coarse_torus", 4, trials=2000),
+]
+
+
 @pytest.mark.parametrize(
-    "mesh_name, bound", [("circle_mesh", 2), ("coarse_torus", 4)]
+    "mesh_name, bound, trials",
+    [_audit_case("circle_mesh", 2), _audit_case("coarse_torus", 4), *_PRUNING_CASES],
 )
-def test_audit_matches_cloud_reference(mesh_name, bound, request):
+def test_audit_matches_cloud_reference(mesh_name, bound, trials, request):
     mesh = request.getfixturevalue(mesh_name)
-    report = concentration_audit(mesh, bound, trials=300, seed=3)
-    ratio, center, radius = _cloud_audit(mesh, bound, trials=300, seed=3)
+    report = concentration_audit(mesh, bound, trials=trials, seed=3)
+    ratio, center, radius = _cloud_audit(mesh, bound, trials=trials, seed=3)
     assert report.worst_ratio == ratio
     assert np.array_equal(report.worst_center, center)
     assert report.worst_radius == radius
 
 
 @pytest.mark.parametrize(
-    "mesh_name, bound", [("circle_mesh", 2), ("coarse_torus", 4), ("revolution_mesh", 6)]
+    "mesh_name, bound, trials",
+    [
+        _audit_case("circle_mesh", 2),
+        _audit_case("coarse_torus", 4),
+        _audit_case("revolution_mesh", 6),
+        *_PRUNING_CASES,
+    ],
 )
-def test_centroid_straddle_test_drops_only_cells_without_hits(mesh_name, bound, request):
+def test_centroid_straddle_test_drops_only_cells_without_hits(mesh_name, bound, trials, request):
     mesh = request.getfixturevalue(mesh_name)
-    report = concentration_audit(mesh, bound, trials=300, seed=3)
-    ratio, center, radius = _loose_straddle_audit(mesh, bound, trials=300, seed=3)
+    report = concentration_audit(mesh, bound, trials=trials, seed=3)
+    ratio, center, radius = _loose_straddle_audit(mesh, bound, trials=trials, seed=3)
     assert report.worst_ratio == ratio
     assert np.array_equal(report.worst_center, center)
     assert report.worst_radius == radius
+
+
+def test_audit_skips_the_quadrature_of_most_trials(coarse_torus, monkeypatch):
+    integrated = []
+    split = np.split
+
+    def counting_split(*args, **kwargs):  # one call per trial that reaches the quadrature
+        integrated.append(1)
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(np, "split", counting_split)
+    concentration_audit(coarse_torus, 4, trials=200, seed=0)
+    assert 1 <= len(integrated) < 100
 
 
 @st.composite
