@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .families import FamilyDescriptor, GeometricSummary, generate_mesh, geometric_summary
 from .mesh import EmbeddedMesh, simplex_volume
-from .spectral import SpectralProblem, SpectralResult, rayleigh_quotient, solve_steklov
+from .spectral import SpectralProblem, SpectralResult, solve_steklov
 
 __all__ = [
     "__version__",
@@ -16,7 +16,6 @@ __all__ = [
     "SpectralResult",
     "generate_mesh",
     "geometric_summary",
-    "rayleigh_quotient",
     "simplex_volume",
     "solve_steklov",
 ]

@@ -299,8 +299,8 @@ def fit_asymptotics(
     eigenvalues: Sequence[float],
     n: int,
     volume_sigma: float,
-    k_lo: int = 20,
-    k_hi: Optional[int] = None,
+    k_lo: int,
+    k_hi: int,
 ) -> AsymptoticsFit:
     """Log-log least-squares fit of sigma_k ~ a k^e over k in [k_lo, k_hi].
 
@@ -309,8 +309,6 @@ def fit_asymptotics(
     and coefficient 2 pi / (omega_(n-1) |Sigma|)^(1/(n-1)).
     """
     values = np.asarray(eigenvalues, dtype=float)
-    if k_hi is None:
-        k_hi = len(values) - 1
     check("k_lo", k_lo, 5, integer=True)  # small k are dominated by the O(1) term
     check("k_hi", k_hi, k_lo + 1, len(values) - 1, integer=True)
     ks = np.arange(k_lo, k_hi + 1)

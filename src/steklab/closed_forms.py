@@ -161,8 +161,6 @@ def _radial_grid(eps: float, delta: float, intervals: int) -> np.ndarray:
     """
     span = delta - eps
     h0 = min(eps / 16.0, 0.1 * span / intervals)
-    if h0 * intervals >= span * (1.0 - 1e-12):
-        return np.linspace(eps, delta, intervals + 1)
 
     def total(q):
         # h0 * (q^m - 1) / (q - 1); overflow to inf is fine for bisection

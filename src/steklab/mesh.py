@@ -225,10 +225,10 @@ class EmbeddedMesh:
         """Check structural invariants; raise MeshError on the first failure.
 
         Runs on construction, and the mesh keeps the cell and face volumes it measures.
-        Verified: finite coordinates, index ranges, known tags, every facet in
-        at most two cells, the boundary faces listed once each and exactly the
-        facets of one cell, every cell of positive volume, and finite cell and
-        boundary-face volumes with finite totals.
+        Verified: finite coordinates, at least one cell, index ranges, known tags,
+        every facet in at most two cells, the boundary faces listed once each and
+        exactly the facets of one cell, every cell of positive volume, and finite
+        cell and boundary-face volumes with finite totals.
         """
         n = self.intrinsic_dim
         if not (1 <= n <= self.ambient_dim):
@@ -237,7 +237,9 @@ class EmbeddedMesh:
             raise MeshError("boundary_faces must be an (F, n) array")
         if not np.isfinite(self.vertices).all():
             raise MeshError("non-finite vertex coordinates")
-        if self.cells.size and (self.cells.min() < 0 or self.cells.max() >= self.n_vertices):
+        if len(self.cells) == 0:
+            raise MeshError("mesh has no cells")
+        if self.cells.min() < 0 or self.cells.max() >= self.n_vertices:
             raise MeshError("cell index out of range")
         if self.boundary_faces.size and (
             self.boundary_faces.min() < 0 or self.boundary_faces.max() >= self.n_vertices

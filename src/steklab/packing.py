@@ -100,10 +100,11 @@ class ConstantsConfig:
 
 @dataclass
 class BoundaryMeasure:
-    """Boundary volume measure concentrated at Steklov-boundary vertices.
+    """Boundary volume measure concentrated at the Steklov vertices.
 
-    Each Steklov face splits its volume equally among its n vertices, so the
-    atom weights sum to the Steklov boundary volume exactly.
+    The atoms are the mesh's Steklov vertices, the vertex set of the spectral
+    solve.  Each Steklov face splits its volume equally among its n vertices,
+    so the atom weights sum to the Steklov boundary volume exactly.
     """
 
     vertex_ids: np.ndarray
@@ -136,12 +137,11 @@ def _boundary_measure(mesh: EmbeddedMesh) -> BoundaryMeasure:
     faces = mesh.steklov_faces()
     if faces.size == 0:
         raise UsageError("mesh has no steklov faces")
-    vols = mesh.face_volumes()[mesh.steklov_mask()]
-    share = vols / faces.shape[1]
-    weights = np.zeros(mesh.n_vertices)
-    np.add.at(weights, faces.ravel(), np.repeat(share, faces.shape[1]))
-    ids = np.nonzero(weights > 0)[0]
-    return BoundaryMeasure(*map(read_only, (ids, mesh.vertices[ids], weights[ids])))
+    n = faces.shape[1]
+    share = mesh.face_volumes()[mesh.steklov_mask()] / n
+    ids = mesh.steklov_vertices()
+    weights = np.bincount(faces.ravel(), np.repeat(share, n), mesh.n_vertices)[ids]
+    return BoundaryMeasure(ids, read_only(mesh.vertices[ids]), read_only(weights))
 
 
 def choose_radius(

@@ -206,7 +206,7 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
     except (ArpackError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError(f"boundary eigensolve failed: {exc}") from exc
 
-    scale = float(np.abs(vals).max()) if len(vals) else 1.0
+    scale = float(np.abs(vals).max())
     if vals[0] < -problem.tolerance * max(scale, 1.0):
         raise NumericalError(f"leading eigenvalue {vals[0]} is significantly negative")
     vals = np.maximum(vals, 0.0)
@@ -238,21 +238,13 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
 
 
 def rayleigh_from_operators(stiffness, mass, values: np.ndarray) -> float:
+    """Dirichlet energy over Steklov boundary L2 norm of a vertex vector."""
     v = np.asarray(values, dtype=float)
     den = float(v @ (mass @ v))
     num = float(v @ (stiffness @ v))
     if den <= 0.0 or den < 1e-30 * max(num, 1.0):
         raise UsageError("test function vanishes on the Steklov boundary")
     return num / den
-
-
-def rayleigh_quotient(mesh: EmbeddedMesh, values: np.ndarray) -> float:
-    """Dirichlet energy over Steklov boundary L2 norm of a vertex vector."""
-    v = np.asarray(values, dtype=float)
-    if v.shape != (mesh.n_vertices,):
-        raise UsageError("vertex value vector has the wrong length")
-    stiffness, mass = assemble_operators(mesh)
-    return rayleigh_from_operators(stiffness, mass, v)
 
 
 def cell_gradient_norms(mesh: EmbeddedMesh, values: np.ndarray) -> np.ndarray:

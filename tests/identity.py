@@ -122,7 +122,7 @@ COMMANDS.update({
     # the face tags pose the mixed problem: spectrum:annulus-sn without --kind
     "spectrum:annulus-sn-inferred": "spectrum --mesh <dir>/annulus2.json --kmax 2 "
                                     "--traces <dir>/t6.csv",
-    # boundary-graded meshes and the certificates on them
+    # boundary-graded meshes and their certificates at k = 1, 2 and 3
     "mesh:annulus2g": "mesh --family annulus --n 2 --eps 1 --delta 2 --h 0.15 "
                       "--h-boundary 0.003125 --mesh-out <dir>/annulus2g.json",
     "mesh:cylinderg": "mesh --family cylinder --radius 1 --L 1 --h 0.15 --h-boundary 0.00625 "
@@ -133,6 +133,8 @@ COMMANDS.update({
     "certify:annulus-sn-k1": "certify --mesh <dir>/annulus2g.json --k 1 --i-sigma 2",
     "certify:cylinder-k1": "certify --mesh <dir>/cylinderg.json --k 1 --i-sigma 2 --seed 7",
     "certify:cylinder-k3": "certify --mesh <dir>/cylinderg.json --k 3 --i-sigma 2",
+    "certify:disk-k2": "certify --mesh <dir>/ball2g.json --k 2 --i-sigma 2",
+    "certify:annulus-sn-k2": "certify --mesh <dir>/annulus2g.json --k 2 --i-sigma 2",
 })
 
 

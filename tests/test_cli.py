@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import steklab
-from steklab import spectral
+from steklab import cli, spectral
 from steklab.cli import main
-from steklab.errors import UsageError
+from steklab.errors import SteklabError, UsageError
 from steklab.families import FamilyDescriptor, generate_mesh
 from steklab.intersection import concentration_audit, estimate_index
 from steklab.mesh import EmbeddedMesh
@@ -139,6 +139,19 @@ def test_spectrum_negative_leading_eigenvalue_exits_3(annulus_file, tmp_path, mo
     assert captured.err == (
         "numerical failure: leading eigenvalue -1.0 is significantly negative\n"
     )
+    assert captured.out == "" and not out.exists()
+
+
+def test_uncategorised_steklab_error_exits_3(annulus_file, tmp_path, monkeypatch, capsys):
+    def fail(problem):
+        raise SteklabError("internal error: probe")
+
+    monkeypatch.setattr(cli, "solve_steklov", fail)
+    mesh_path, _ = annulus_file
+    out = tmp_path / "x.json"
+    assert run(["spectrum", "--mesh", str(mesh_path), "--kmax", "1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal error: probe\n"
     assert captured.out == "" and not out.exists()
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from steklab.closed_forms import (
+    _radial_grid,
     annulus_sn_eigenvalue,
     blowup_constant,
     circle_mode_eigenvalue,
@@ -185,6 +186,21 @@ def test_separated_mode_monotone_in_mode_eigenvalues():
     base = separated_mode_sn_eigenvalue(3, 0.2, 10.0, 3.0, 1.0, 512)
     assert separated_mode_sn_eigenvalue(3, 0.2, 10.0, 5.0, 1.0, 512) >= base
     assert separated_mode_sn_eigenvalue(3, 0.2, 10.0, 3.0, 2.0, 512) >= base
+
+
+def test_radial_grid_brackets_a_wide_span():
+    # total(1.5), the geometric sum of 16 steps from eps/16, is about 0.82, far
+    # short of the 199.99 span, so the ratio bracket doubles before bisecting
+    eps, delta = 0.01, 200.0
+    nodes = _radial_grid(eps, delta, 16)
+    steps = np.diff(nodes)
+    assert len(nodes) == 17 and (steps > 0).all()
+    assert nodes[0] == eps and nodes[-1] == delta
+    assert steps[0] == pytest.approx(eps / 16, rel=1e-12)
+    ratios = steps[1:] / steps[:-1]
+    assert ratios == pytest.approx(np.full(15, ratios[0]), rel=1e-9)
+    value = separated_mode_sn_eigenvalue(3, eps, delta, 3.0, 1.0, resolution=16)
+    assert math.isfinite(value) and value > 0
 
 
 def test_mode_eigenvalue_helpers():

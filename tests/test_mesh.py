@@ -339,6 +339,9 @@ MESH_FAULTS = {
     "cells must be a (C, n+1) array": ("disk", _flat_cells),
     "face_tags and boundary_faces lengths differ": (None, lambda mesh: EmbeddedMesh(
         mesh.vertices, mesh.cells, mesh.boundary_faces, mesh.face_tags[:-1])),
+    # a document cannot pose it: "cells": [] is not (C, n+1)
+    "mesh has no cells": (None, lambda mesh: EmbeddedMesh(
+        mesh.vertices, mesh.cells[:0], mesh.boundary_faces[:0], mesh.face_tags[:0])),
     "intrinsic dim 0 not in [1, 2]": ("disk", _point_cells),
     "boundary face index out of range": ("disk", _face_out_of_range),
     "ambient_dim field disagrees with vertex data": ("disk", _ambient_dim_field),
