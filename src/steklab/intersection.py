@@ -30,6 +30,9 @@ _HILL_CLIMB_ANNEAL_EVERY = 50
 _AUDIT_CHUNK = 256  # straddling cells per quadrature GEMM: bounds its (cells, P) block
 _SCREEN_BUDGET = 2**18  # words per block of planes, half for its signed distances: 2 MiB
 _CULL_ROUNDING = 1e-12  # relative rounding allowance of the patch cull
+_TRIAL_CHUNK = 4096  # audit trials drawn, bounded and visited together
+_CEILING_REACH = 1e-9  # relative widening of a ceiling's centroid reach
+_CEILING_ROUNDING = 1e-12  # the ceiling's allowance, relative to (extent + |center| + r)^2
 
 
 @dataclass
@@ -415,6 +418,98 @@ class ConcentrationReport:
     index_bound: int
 
 
+class _AuditCells(NamedTuple):
+    vols: np.ndarray  # (C,)
+    slot_pts: np.ndarray  # (n+1, C, m): one row of vertices per slot
+    vert_sq: np.ndarray  # (n+1, C) squared vertex norms
+    centroids: np.ndarray  # (C, m)
+    spread: np.ndarray  # (C,) largest vertex-to-centroid distance
+    extent: float  # max |centroid| + spread: every vertex lies within it of 0
+    ceiling_rows: np.ndarray  # (C, m+3) the cells' rows of _ceiling_volumes' GEMM
+
+
+def _audit_cells(mesh: EmbeddedMesh) -> _AuditCells:
+    slot_pts = mesh.vertices[mesh.cells.T]
+    centroids = slot_pts.mean(axis=0)
+    spread = np.linalg.norm(slot_pts - centroids, axis=2).max(axis=0)
+    centroid_sq = (centroids**2).sum(axis=1)
+    w_sq = (1.0 + _CEILING_REACH) ** 2
+    ceiling_rows = np.column_stack(
+        [centroids, centroid_sq - w_sq * spread**2, spread, np.ones(len(spread))]
+    )
+    return _AuditCells(
+        mesh.cell_volumes(), slot_pts, (slot_pts**2).sum(axis=2), centroids, spread,
+        float((np.sqrt(centroid_sq) + spread).max()), ceiling_rows,
+    )
+
+
+def _draw_trials(rng, cells: _AuditCells, diam: float, log_lo, log_hi, start: int, size: int):
+    """Centers (size, m) and radii (size,) of the trials start..start+size-1,
+    drawn one trial at a time: a cell, a Dirichlet point of it, Gaussian
+    noise on odd trials, a log-uniform radius."""
+    n_plus_1, n_cells, m = cells.slot_pts.shape
+    ones = np.ones(n_plus_1)
+    centers, radii = np.empty((size, m)), np.empty(size)
+    for t in range(size):
+        cell = rng.integers(0, n_cells)  # before the Dirichlet draw: the stream's order
+        center = rng.dirichlet(ones) @ cells.slot_pts[:, cell]
+        if (start + t) % 2:
+            center = center + 0.1 * diam * rng.standard_normal(m)
+        centers[t] = center
+        radii[t] = np.exp(rng.uniform(log_lo, log_hi))
+    return centers, radii
+
+
+def _ceiling_volumes(cells: _AuditCells, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Per trial, the volume of the cells whose centroid x satisfies
+    |x - c|^2 - w^2 (r + spread)^2 <= _CEILING_ROUNDING (extent + |c| + r)^2,
+    w = 1 + _CEILING_REACH, for center c and radius r.  The left side is one
+    GEMM of the cells' rows [x, |x|^2 - w^2 spread^2, spread, 1] against the
+    trials' [-2c, 1, -2 w^2 r, |c|^2 - w^2 r^2 - allowance], in blocks of
+    trials whose (C, block) product fits in _SCREEN_BUDGET words (2 MiB)."""
+    w_sq = (1.0 + _CEILING_REACH) ** 2
+    center_sq = (centers**2).sum(axis=1)
+    allowance = _CEILING_ROUNDING * (cells.extent + np.sqrt(center_sq) + radii) ** 2
+    cols = np.column_stack(
+        [-2.0 * centers, np.ones(len(radii)), -2.0 * w_sq * radii,
+         center_sq - w_sq * radii**2 - allowance]
+    ).T  # (m+3, trials)
+    volumes = np.empty(len(radii))
+    block = min(len(radii), max(1, _SCREEN_BUDGET // len(cells.vols)))
+    buffer = np.empty((len(cells.vols), block))
+    for lo in range(0, len(radii), block):
+        part = cols[:, lo:lo + block]
+        excess = np.matmul(cells.ceiling_rows, part, out=buffer[:, :part.shape[1]])
+        np.less_equal(excess, 0.0, out=excess)  # 1.0 for a counted cell
+        volumes[lo:lo + block] = cells.vols @ excess
+    return volumes
+
+
+def _ball_volume(cells: _AuditCells, outer: np.ndarray, center: np.ndarray,
+                 radius: float) -> float:
+    """The mesh volume inside B(center, radius): cells inside exactly, the
+    straddling cells the centroid test keeps by the quadrature on outer."""
+    vols, slot_pts, spread = cells.vols, cells.slot_pts, cells.spread
+    dist_sq = cells.vert_sq - 2.0 * (slot_pts @ center) + float(center @ center)  # (n+1, C)
+    dmax = np.sqrt(np.maximum(dist_sq.max(axis=0), 0.0))
+    dmin = np.sqrt(np.maximum(dist_sq.min(axis=0), 0.0))
+    inside = dmax <= radius
+    volume = float(vols[inside].sum())
+    straddle = np.nonzero(~inside & (dmin <= radius + 2.0 * spread))[0]
+    # the centroid test of concentration_audit; a cell it drops keeps its
+    # zero in the sum, so the summation order and every bit of the volume stay
+    reach = (radius + spread[straddle]) * (1.0 + 1e-12)
+    near = np.linalg.norm(cells.centroids[straddle] - center, axis=1) <= reach
+    rel = slot_pts[:, straddle[near]].transpose(1, 0, 2) - center  # (s, n+1, m)
+    grams = np.matmul(rel, rel.transpose(0, 2, 1)).reshape(len(rel), len(outer))
+    blocks = np.split(grams, range(_AUDIT_CHUNK, len(rel), _AUDIT_CHUNK))
+    hits = np.zeros(straddle.size, dtype=np.int32)
+    hits[near] = np.concatenate(
+        [(g @ outer <= radius * radius).sum(axis=1, dtype=np.int32) for g in blocks]
+    )
+    return volume + float((vols[straddle] * (hits / AUDIT_POINTS_PER_CELL)).sum())
+
+
 def concentration_audit(
     mesh: EmbeddedMesh,
     index_bound: int,
@@ -431,13 +526,28 @@ def concentration_audit(
     spread being its largest vertex-to-centroid distance.  The centroid test is
     exact: all of a simplex lies within spread of its centroid, so a dropped
     cell holds no quadrature point of the ball, and the margin absorbs rounding.
-    Only the worst ratio is kept, so a trial skips the quadrature once an upper
-    bound on its ratio is no larger than the worst so far: every straddling
-    cell counted whole, then every one that passes the centroid test.  Each
-    bound sums an array of the quadrature's length and order, so NumPy's
-    pairwise sum adds it in the same tree, term by term no smaller; rounding
-    is monotone, so the bound is never below the ratio and the report is
-    bit-identical to integrating every trial.
+
+    Only the worst ratio is kept.  Trials are drawn in chunks of _TRIAL_CHUNK,
+    in the stream's order, and each gets a ceiling, an upper bound on its
+    ratio: the volume _ceiling_volumes counts for it, over the cap, times 1 + 2
+    (C + 4) eps for C cells.  The count holds every cell that can add volume.
+    A straddling cell adds volume only if it passes the centroid test, whose
+    1e-12 margin lies far inside _CEILING_REACH.  A cell inside has its
+    centroid no farther than its farthest vertex, so within radius (1 + eps)
+    up to the allowance.  The allowance covers the rounding of the ceiling's
+    GEMM and of the screen's expanded squares, each below 1e-14 (extent +
+    |center| + radius)^2.  A cell adds at most its volume, since its fraction
+    of quadrature points is at most 1.  All terms are nonnegative, so in any
+    summation order the ratio is at most (1 + u)^(C+3) times the counted
+    volume over the cap and the ceiling before its factor at least
+    (1 - u)^(C+1) times it, u = eps / 2; the factor covers both with room to
+    spare, up to SIZE_BUDGET cells.  A chunk visits its trials in descending
+    ceiling order, stable so that ties go by trial number, and stops at a
+    ceiling below the worst ratio so far, or equal to it for a later trial:
+    neither that trial nor any after it can raise the worst or take it by a
+    tie (the top-1 threshold rule of Fagin, Lotem and Naor, PODS 2001).  The
+    earliest trial wins a tie, as in trial order, so the report is
+    bit-identical to integrating every trial in turn.
     Returns the worst ratio against the cap, which must stay near or below 1
     whenever index_bound really bounds the intersection index.
     """
@@ -448,14 +558,12 @@ def concentration_audit(
     q = mesh.intrinsic_dim
     cap_coeff = 0.5 * index_bound * unit_sphere_area(q)
 
-    vols = mesh.cell_volumes()
-    slot_pts = mesh.vertices[mesh.cells.T]  # (n+1, C, m): one row of vertices per slot
-    centroids = slot_pts.mean(axis=0)  # (C, m)
-    spread = np.linalg.norm(slot_pts - centroids, axis=2).max(axis=0)
-    vert_sq = (slot_pts**2).sum(axis=2)  # (n+1, C)
+    cells = _audit_cells(mesh)
+    margin = 1.0 + 2.0 * (len(cells.vols) + 4) * np.finfo(float).eps
     diam = mesh.diameter()
-    r_lo = max(np.median(spread) * 2.0, diam * 1e-3)
+    r_lo = max(np.median(cells.spread) * 2.0, diam * 1e-3)
     r_hi = diam * 0.35
+    log_lo, log_hi = np.log(r_lo), np.log(r_hi)
 
     # one barycentric cloud b reused for every straddling cell: the volume
     # fraction becomes a fixed quadrature, far cheaper than fresh per-cell
@@ -465,47 +573,25 @@ def concentration_audit(
     bary_cloud = rng.dirichlet(np.ones(q + 1), size=AUDIT_POINTS_PER_CELL)
     outer = (bary_cloud[:, :, None] * bary_cloud[:, None, :]).reshape(AUDIT_POINTS_PER_CELL, -1).T
 
-    worst = (-np.inf, None, None)
-    for trial in range(trials):
-        cell = rng.integers(0, slot_pts.shape[1])
-        bary = rng.dirichlet(np.ones(q + 1))
-        center = bary @ slot_pts[:, cell]
-        if trial % 2:
-            center = center + 0.1 * diam * rng.standard_normal(mesh.ambient_dim)
-        radius = float(np.exp(rng.uniform(np.log(r_lo), np.log(r_hi))))
-
-        dist_sq = vert_sq - 2.0 * (slot_pts @ center) + float(center @ center)  # (n+1, C)
-        dmax = np.sqrt(np.maximum(dist_sq.max(axis=0), 0.0))
-        dmin = np.sqrt(np.maximum(dist_sq.min(axis=0), 0.0))
-        inside = dmax <= radius
-        volume = float(vols[inside].sum())
-        straddle = np.nonzero(~inside & (dmin <= radius + 2.0 * spread))[0]
-        scale = cap_coeff * radius**q
-        if (volume + float(vols[straddle].sum())) / scale <= worst[0]:
-            continue  # the bounds of the docstring: this trial cannot be the worst
-        # the centroid test of the docstring; a cell it drops keeps its zero in
-        # the sum, so the summation order and every bit of the volume stay
-        reach = (radius + spread[straddle]) * (1.0 + 1e-12)
-        near = np.linalg.norm(centroids[straddle] - center, axis=1) <= reach
-        if (volume + float((vols[straddle] * near).sum())) / scale <= worst[0]:
-            continue
-        rel = slot_pts[:, straddle[near]].transpose(1, 0, 2) - center  # (s, n+1, m)
-        grams = np.matmul(rel, rel.transpose(0, 2, 1)).reshape(len(rel), len(outer))
-        blocks = np.split(grams, range(_AUDIT_CHUNK, len(rel), _AUDIT_CHUNK))
-        hits = np.zeros(straddle.size, dtype=np.int32)
-        hits[near] = np.concatenate(
-            [(g @ outer <= radius * radius).sum(axis=1, dtype=np.int32) for g in blocks]
-        )
-        volume += float((vols[straddle] * (hits / AUDIT_POINTS_PER_CELL)).sum())
-
-        ratio = volume / scale
-        if ratio > worst[0]:
-            worst = (ratio, center, radius)
+    worst, first, worst_center, worst_radius = -np.inf, -1, None, None
+    for start in range(0, trials, _TRIAL_CHUNK):
+        size = min(_TRIAL_CHUNK, trials - start)
+        centers, radii = _draw_trials(rng, cells, diam, log_lo, log_hi, start, size)
+        scales = np.array([cap_coeff * radius**q for radius in radii.tolist()])
+        ceiling = _ceiling_volumes(cells, centers, radii) / scales * margin
+        for t in np.argsort(-ceiling, kind="stable").tolist():
+            trial = start + t
+            if ceiling[t] < worst or (ceiling[t] == worst and trial > first):
+                break  # neither this trial nor any after it can raise the worst
+            radius = float(radii[t])
+            ratio = _ball_volume(cells, outer, centers[t], radius) / float(scales[t])
+            if ratio > worst or (ratio == worst and trial < first):
+                worst, first, worst_center, worst_radius = ratio, trial, centers[t].copy(), radius
 
     return ConcentrationReport(
-        worst_ratio=worst[0],
-        worst_center=worst[1],
-        worst_radius=worst[2],
+        worst_ratio=worst,
+        worst_center=worst_center,
+        worst_radius=worst_radius,
         trials=trials,
         index_bound=index_bound,
     )

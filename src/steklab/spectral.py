@@ -238,10 +238,15 @@ def solve_steklov(problem: SpectralProblem) -> SpectralResult:
 
 
 def rayleigh_from_operators(stiffness, mass, values: np.ndarray) -> float:
-    """Dirichlet energy over Steklov boundary L2 norm of a vertex vector."""
+    """Dirichlet energy over Steklov boundary L2 norm of a vertex vector.
+
+    Both quadratic forms sum with NumPy's own pairwise sum: a BLAS dot
+    product splits long vectors across its threads, which moves the last
+    bit with the thread count.
+    """
     v = np.asarray(values, dtype=float)
-    den = float(v @ (mass @ v))
-    num = float(v @ (stiffness @ v))
+    den = float(np.sum(v * (mass @ v)))
+    num = float(np.sum(v * (stiffness @ v)))
     if den <= 0.0 or den < 1e-30 * max(num, 1.0):
         raise UsageError("test function vanishes on the Steklov boundary")
     return num / den

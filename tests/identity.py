@@ -5,8 +5,10 @@ meshes that earlier ones wrote.  A command's digest covers its exit code, its
 stderr, the command, seed, parameters and payload of its report (sorted-key
 JSON, never `wall_time_s`) and the bytes of every other file it wrote.  The
 directory's path reads "<dir>" in all of them, so runs in different
-directories compare.  Digests depend on the BLAS build, so none is checked in:
-compare two runs on one machine instead.
+directories compare.  After the commands, each entry of AUDITS runs the
+library's concentration_audit on a mesh they wrote; its digest covers the
+worst ratio, radius and center as float.hex.  Digests depend on the BLAS
+build, so none is checked in: compare two runs on one machine instead.
 
     python tests/identity.py --out FILE       # write every command's digest
     python tests/identity.py --compare A B    # list the commands that differ
@@ -137,6 +139,15 @@ COMMANDS.update({
     "certify:annulus-sn-k2": "certify --mesh <dir>/annulus2g.json --k 2 --i-sigma 2",
 })
 
+# library audits, none of which a command runs: name -> (mesh, index bound, trials)
+AUDITS = {
+    f"audit:{mesh}-{trials}": (mesh, bound, trials)
+    for mesh, bound in (("sphere2", 2), ("torus", 4), ("revolution", 6), ("ball3", 1),
+                        ("cylinder", 2))
+    for trials in (1, 200, 2000)
+}
+AUDIT_SEED = 11
+
 
 def _hash(data) -> str:
     if not isinstance(data, bytes):
@@ -181,9 +192,28 @@ def run_command(text: str, directory: Path) -> dict:
     return {"digest": _hash(parts), "parts": parts}
 
 
+def run_audit(mesh_name: str, index_bound: int, trials: int, directory: Path) -> dict:
+    """One library audit of `directory`/`mesh_name`.json; its digest and parts."""
+    from steklab.intersection import concentration_audit  # as in run_command
+    from steklab.mesh import EmbeddedMesh
+
+    mesh = EmbeddedMesh.load(str(directory / f"{mesh_name}.json"))
+    report = concentration_audit(mesh, index_bound, trials=trials, seed=AUDIT_SEED)
+    parts = {
+        "worst_ratio": float(report.worst_ratio).hex(),
+        "worst_radius": float(report.worst_radius).hex(),
+        "worst_center": [float(x).hex() for x in report.worst_center],
+    }
+    return {"digest": _hash(parts), "parts": parts}
+
+
 def run_commands(directory) -> dict:
-    """Every command of COMMANDS, in order, in `directory`: name -> result."""
-    return {name: run_command(text, Path(directory)) for name, text in COMMANDS.items()}
+    """Every command of COMMANDS, in order, in `directory`, then every audit
+    of AUDITS on the meshes they wrote: name -> result."""
+    directory = Path(directory)
+    results = {name: run_command(text, directory) for name, text in COMMANDS.items()}
+    results.update({name: run_audit(*audit, directory) for name, audit in AUDITS.items()})
+    return results
 
 
 def compare(a: dict, b: dict) -> list[str]:

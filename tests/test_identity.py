@@ -1,6 +1,6 @@
 """The output-identity harness runs, reproduces itself and covers every leaf subcommand."""
 
-from identity import COMMANDS, run_commands
+from identity import AUDITS, COMMANDS, run_commands
 from test_cli import LEAF_COMMANDS
 
 EXIT_CODES = {
@@ -39,6 +39,7 @@ def leaf_command(text):
 def test_harness_runs_reproduce_and_cover_every_leaf(tmp_path):
     first = run_commands(tmp_path)
     second = run_commands(tmp_path)
-    assert {name: result["parts"]["exit"] for name, result in first.items()} == EXIT_CODES
+    assert set(first) == set(COMMANDS) | set(AUDITS)
+    assert {name: first[name]["parts"]["exit"] for name in COMMANDS} == EXIT_CODES
     assert first == second
     assert set(LEAF_COMMANDS) <= {leaf_command(text) for text in COMMANDS.values()}

@@ -501,6 +501,62 @@ def test_audit_skips_the_quadrature_of_most_trials(coarse_torus, monkeypatch):
     assert 1 <= len(integrated) < 100
 
 
+@pytest.fixture(scope="module")
+def coarse_disk():
+    return generate_mesh(FamilyDescriptor("ball-flat", h=0.3, n=2, delta=1.0))
+
+
+@pytest.fixture(scope="module")
+def coarse_cylinder():
+    return generate_mesh(FamilyDescriptor("cylinder-surface", h=0.3, radius=1.0, length=1.0))
+
+
+_CHUNK = 100  # trials per chunk in the test below: 2,000 trials cross 19 chunk boundaries
+
+
+@pytest.mark.parametrize("seed", [0, 7, 29])
+@pytest.mark.parametrize(
+    "mesh_name, bound",
+    [("circle_mesh", 2), ("coarse_disk", 1), ("small_ball3", 1), ("coarse_cylinder", 2)],
+)
+def test_ordered_audit_matches_trial_order_reference(mesh_name, bound, seed, request,
+                                                     monkeypatch):
+    # circle q = 1, flat disk m = 2, 3-ball q = 3 and the cylinder surface;
+    # the larger meshes also split a chunk into several ceiling blocks
+    mesh = request.getfixturevalue(mesh_name)
+    monkeypatch.setattr(intersection, "_TRIAL_CHUNK", _CHUNK)
+    for trials in (1, 2, 3, _CHUNK - 1, _CHUNK + 1, 2000):
+        report = concentration_audit(mesh, bound, trials=trials, seed=seed)
+        ratio, center, radius = _loose_straddle_audit(mesh, bound, trials=trials, seed=seed)
+        assert report.worst_ratio.hex() == ratio.hex()
+        assert report.worst_radius.hex() == radius.hex()
+        assert [x.hex() for x in report.worst_center] == [x.hex() for x in center]
+
+
+def test_ordered_audit_matches_reference_across_the_trial_chunk(circle_mesh):
+    chunk = intersection._TRIAL_CHUNK
+    for trials in (chunk - 1, chunk + 1):
+        report = concentration_audit(circle_mesh, 2, trials=trials, seed=3)
+        ratio, center, radius = _loose_straddle_audit(circle_mesh, 2, trials=trials, seed=3)
+        assert (report.worst_ratio, report.worst_radius) == (ratio, radius)
+        assert np.array_equal(report.worst_center, center)
+
+
+def _audit_peak(mesh, trials):
+    tracemalloc.start()
+    try:
+        concentration_audit(mesh, 2, trials=trials, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_audit_memory_is_bounded_in_trials(circle_mesh):
+    # the trials are drawn and bounded a chunk at a time, so ten times the
+    # trials must not hold ten times the centers, radii and ceilings
+    assert _audit_peak(circle_mesh, 20_000) <= 1.25 * _audit_peak(circle_mesh, 2_000)
+
+
 @st.composite
 def plane_rows(draw):
     """(c, m) rows: orthonormal, perturbed by 1e-13..1e-3, or holding NaN or +-inf."""

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +286,34 @@ def test_rayleigh_of_coordinate_function_on_disk(disk_mesh):
     # x1 is harmonic with normal derivative x1 on the unit circle
     value = rayleigh_from_operators(*assemble_operators(disk_mesh), disk_mesh.vertices[:, 0])
     assert value == pytest.approx(1.0, rel=2e-3)
+
+
+# a 200,000-entry quotient of tridiagonal operators, printed as float.hex
+_QUOTIENT_CHILD = """
+import numpy as np, scipy.sparse as sp
+from steklab.spectral import rayleigh_from_operators
+rng = np.random.default_rng(5)
+n = 200_000
+off = rng.random(n - 1)
+stiffness = sp.diags([-off, np.r_[off, 0] + np.r_[0, off] + 1e-3, -off], [-1, 0, 1], format="csr")
+mass = sp.diags(rng.random(n), format="csr")
+print(rayleigh_from_operators(stiffness, mass, rng.standard_normal(n)).hex())
+"""
+
+
+def _quotient_at(threads: int) -> str:
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.update({var: str(threads) for var in
+                ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+    proc = subprocess.run([sys.executable, "-c", _QUOTIENT_CHILD], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    return proc.stdout.strip()
+
+
+def test_rayleigh_quotient_does_not_depend_on_the_blas_thread_count():
+    # a BLAS dot product splits a vector this long across its threads
+    assert _quotient_at(1) == _quotient_at(2)
 
 
 def test_variational_consistency(disk_mesh, disk_spectrum):
